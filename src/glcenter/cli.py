@@ -112,12 +112,6 @@ def element_to_json(x: central.CentralElement) -> str:
     return json.dumps({"kind": "element", "n": x.n, **obj}, sort_keys=True)
 
 
-def element_from_json(text: str) -> central.CentralElement:
-    data = json.loads(text)
-    body = enveloping.element_from_json_obj(data)
-    return central.CentralElement(body, int(data["n"]), "user")
-
-
 def _emit(text: str, out_path) -> None:
     data = text if text.endswith("\n") else text + "\n"
     if out_path:

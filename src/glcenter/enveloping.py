@@ -56,12 +56,6 @@ def elem_add_into(x: EnvelopingElement, y: EnvelopingElement, c=1) -> None:
             x.pop(w, None)
 
 
-def elem_add(x: EnvelopingElement, y: EnvelopingElement) -> EnvelopingElement:
-    out = dict(x)
-    elem_add_into(out, y)
-    return out
-
-
 def elem_scale(x: EnvelopingElement, c) -> EnvelopingElement:
     c = Fraction(c)
     if not c:
@@ -278,16 +272,6 @@ def is_central(x: EnvelopingElement, n: int) -> bool:
             if pbw_normal_form(adjoint((i, j), x)):
                 return False
     return True
-
-
-def bitableau_monomial(S, T) -> EnvelopingElement:
-    """e_{S,T}: the row-major product of e_{S(cell),T(cell)}."""
-    S = tuple(tuple(r) for r in S)
-    T = tuple(tuple(r) for r in T)
-    if tuple(len(r) for r in S) != tuple(len(r) for r in T):
-        raise ValueError("bitableau monomial needs equal shapes")
-    word = tuple((a, b) for rs, rt in zip(S, T) for a, b in zip(rs, rt))
-    return {word: Fraction(1)}
 
 
 def word_sort_key(word: Word) -> tuple:

@@ -78,13 +78,6 @@ def sp_sub(p: ShiftedPolynomial, q: ShiftedPolynomial) -> ShiftedPolynomial:
     return out
 
 
-def sp_scale(p: ShiftedPolynomial, c) -> ShiftedPolynomial:
-    c = Fraction(c)
-    if not c:
-        return sp_zero(p.n)
-    return ShiftedPolynomial(p.n, {m: v * c for m, v in p.terms.items()})
-
-
 def sp_mul(p: ShiftedPolynomial, q: ShiftedPolynomial) -> ShiftedPolynomial:
     out: dict = {}
     for m1, c1 in p.terms.items():
@@ -121,17 +114,6 @@ def sp_eval(p: ShiftedPolynomial, values) -> Fraction:
 
 def sp_degree(p: ShiftedPolynomial) -> int:
     return max((sum(m) for m in p.terms), default=0)
-
-
-def sp_partial(p: ShiftedPolynomial, i: int) -> ShiftedPolynomial:
-    """Partial derivative with respect to x_i (1-indexed)."""
-    out: dict = {}
-    for mono, c in p.terms.items():
-        e = mono[i - 1]
-        if e:
-            m = mono[: i - 1] + (e - 1,) + mono[i:]
-            out[m] = out.get(m, 0) + c * e
-    return ShiftedPolynomial(p.n, {m: v for m, v in out.items() if v})
 
 
 def is_shifted_symmetric(p: ShiftedPolynomial) -> bool:

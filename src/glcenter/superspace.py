@@ -136,10 +136,6 @@ def poly_mul(p: SuperPolynomial, q: SuperPolynomial) -> SuperPolynomial:
     return out
 
 
-def monomial_degree(mono: Monomial) -> int:
-    return sum(1 for v in mono if var_is_odd(v)) % 2
-
-
 def superpolarize(a: Sym, b: Sym, p: SuperPolynomial) -> SuperPolynomial:
     """Left superderivation D_{a,b}: sends (b|j) to (a|j), Leibniz with sign
     (-1)^{|D| |prefix|} on each monomial."""
@@ -301,26 +297,6 @@ def straighten_oracle(p: SuperPolynomial, lam, n: int, d: int) -> dict:
     if x is None:
         raise ValueError("polynomial is not in the span of the standard basis")
     return {S: c for S, c in zip(standard, x) if c}
-
-
-def format_poly(p: SuperPolynomial) -> str:
-    if not p:
-        return "0"
-    parts = []
-    for mono in sorted(p, key=lambda m: tuple(map(var_key, m))):
-        c = p[mono]
-        body = "".join(f"({format_symbol(s)}|{j})" for s, j in mono) or "1"
-        if c == 1 and mono:
-            term = body
-        elif c == -1 and mono:
-            term = f"-{body}"
-        else:
-            term = f"{c}" if not mono else f"{c}*{body}"
-        parts.append(term)
-    out = parts[0]
-    for t in parts[1:]:
-        out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-    return out
 
 
 _CLASS_NAME = {"a": "alpha", "b": "beta", "g": "gamma"}
