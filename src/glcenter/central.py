@@ -48,6 +48,9 @@ from .superspace import alpha, beta, highest_weight_vector, is_proper, poly_scal
 
 @dataclass
 class CentralElement:
+    """A PBW body at alphabet size n; provenance names the element it was
+    built as, wrapped in each map applied to it, e.g. "W(S:2,2@n=4)"."""
+
     body: EnvelopingElement
     n: int
     provenance: str
@@ -104,7 +107,7 @@ def capelli_bitableau(S, T, pool: int = 0) -> EnvelopingElement:
     if shape_of(S) != shape_of(T):
         raise ValueError("bitableau needs equal shapes")
     word = _left_block(S, pool) + _right_block(T, pool)
-    return devirtualize({word: Fraction(1)})
+    return devirtualize({word: 1})
 
 
 def _column_permuted(T: Tableau):
@@ -182,10 +185,8 @@ def young_capelli(S, T, pool: int = 0) -> EnvelopingElement:
     if shape != shape_of(T):
         raise ValueError("bitableau needs equal shapes")
     word = _left_block(S, pool) + _block_CD(shape, pool) + _block_DT(T, pool)
-    direct = devirtualize({word: Fraction(1)})
-    expansion = devirtualize(
-        {w: Fraction(c) for w, c in _yc_expansion(S, T, pool).items()}
-    )
+    direct = devirtualize({word: 1})
+    expansion = devirtualize(_yc_expansion(S, T, pool))
     if direct != expansion:
         raise AssertionError("Young-Capelli paths disagree")
     return direct
@@ -203,7 +204,7 @@ def _dyc_expansion_body(S: Tableau, T: Tableau, pool: int) -> EnvelopingElement:
                 acc[word] = v
             else:
                 acc.pop(word, None)
-    return devirtualize({w: Fraction(c) for w, c in acc.items()})
+    return devirtualize(acc)
 
 
 def double_young_capelli(S, T, pool: int = 0) -> EnvelopingElement:
@@ -220,7 +221,7 @@ def double_young_capelli(S, T, pool: int = 0) -> EnvelopingElement:
         + _block_DC(shape, pool)
         + _right_block(T, pool)
     )
-    direct = devirtualize({word: Fraction(1)})
+    direct = devirtualize({word: 1})
     expansion = _dyc_expansion_body(S, T, pool)
     if direct != expansion:
         raise AssertionError("double Young-Capelli paths disagree")
@@ -252,7 +253,7 @@ def capelli_H(k: int, n: int, pool: int = 0) -> CentralElement:
     words: EnvelopingElement = {}
     for idx in combinations(range(1, n + 1), k):
         word = tuple((i, a) for i in reversed(idx)) + tuple((a, i) for i in idx)
-        words[word] = Fraction(1)
+        words[word] = 1
     return CentralElement(devirtualize(words), n, f"H:{k}@n={n}")
 
 
@@ -363,8 +364,8 @@ def capelli_immanant(mu: Partition, left, right, pool: int = 0) -> EnvelopingEle
         word_b = tuple((left[r], alpha(r + 1 + pool)) for r in range(h)) + tuple(
             (alpha(r + 1 + pool), right[perm[r]]) for r in range(h)
         )
-        elem_add_into(form_a, {word_a: Fraction(chi)})
-        elem_add_into(form_b, {word_b: Fraction(chi)})
+        elem_add_into(form_a, {word_a: chi})
+        elem_add_into(form_b, {word_b: chi})
     result_a = devirtualize(form_a)
     result_b = devirtualize(form_b)
     if result_a != result_b:
@@ -405,7 +406,7 @@ def olshanski_project(x: CentralElement) -> CentralElement:
         if any(a == n for a, _ in word):
             raise ValueError("monomial with a lone row index n: input is not in the centralizer")
         body[word] = coeff
-    return CentralElement(body, n - 1, "projected")
+    return CentralElement(body, n - 1, f"project({x.provenance})")
 
 
 def _h_polynomial_body(coeffs: dict, n: int) -> EnvelopingElement:
@@ -433,11 +434,13 @@ def embed(x: CentralElement) -> CentralElement:
     polynomial in H_1..H_n through its Harish-Chandra image and rebuild the
     same polynomial in H_1..H_n at n+1."""
     coeffs = express_in_estar_basis(harish_chandra(x))
-    return CentralElement(_h_polynomial_body(coeffs, x.n + 1), x.n + 1, "embedded")
+    return CentralElement(
+        _h_polynomial_body(coeffs, x.n + 1), x.n + 1, f"embed({x.provenance})"
+    )
 
 
 def duality_W(x: CentralElement) -> CentralElement:
     """The duality automorphism: substitute H_k -> I_k through the e*-basis
     expression of the Harish-Chandra image."""
     coeffs = express_in_estar_basis(harish_chandra(x))
-    return CentralElement(_i_polynomial_body(coeffs, x.n), x.n, "user")
+    return CentralElement(_i_polynomial_body(coeffs, x.n), x.n, f"W({x.provenance})")

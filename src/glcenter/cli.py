@@ -115,8 +115,11 @@ def element_to_json(x: central.CentralElement) -> str:
 def _emit(text: str, out_path) -> None:
     data = text if text.endswith("\n") else text + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(data)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(data)
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {out_path}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(data)
 
@@ -223,10 +226,6 @@ def _partitions_of(total: int, cap: int):
 def _partitions_upto(m: int):
     for total in range(1, m + 1):
         yield from _partitions_of(total, total)
-
-
-def _sp_equal(a, b) -> bool:
-    return a.n == b.n and a.terms == b.terms
 
 
 def _suite_core(max_size: int, max_n: int, seed: int, d: int) -> list:
@@ -447,9 +446,9 @@ def _suite_hc(max_size: int, max_n: int, seed: int, d: int) -> list:
             checks.append(
                 (
                     f"hc-e* H:{k}@n={n}",
-                    lambda k=k, n=n: _sp_equal(
-                        shifted.harish_chandra(central.capelli_H(k, n)),
-                        shifted.e_star(k, n),
+                    lambda k=k, n=n: (
+                        shifted.harish_chandra(central.capelli_H(k, n))
+                        == shifted.e_star(k, n)
                     ),
                 )
             )
@@ -457,9 +456,9 @@ def _suite_hc(max_size: int, max_n: int, seed: int, d: int) -> list:
             checks.append(
                 (
                     f"hc-h* I:{k}@n={n}",
-                    lambda k=k, n=n: _sp_equal(
-                        shifted.harish_chandra(central.nazarov_umeda_I(k, n)),
-                        shifted.h_star(k, n),
+                    lambda k=k, n=n: (
+                        shifted.harish_chandra(central.nazarov_umeda_I(k, n))
+                        == shifted.h_star(k, n)
                     ),
                 )
             )
@@ -469,9 +468,9 @@ def _suite_hc(max_size: int, max_n: int, seed: int, d: int) -> list:
             checks.append(
                 (
                     f"hc-s* S:{format_partition(lam)}@n={n}",
-                    lambda lam=lam, n=n: _sp_equal(
-                        shifted.harish_chandra(central.schur_element(lam, n)),
-                        shifted.s_star(lam, n),
+                    lambda lam=lam, n=n: (
+                        shifted.harish_chandra(central.schur_element(lam, n))
+                        == shifted.s_star(lam, n)
                     ),
                 )
             )

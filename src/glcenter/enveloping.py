@@ -3,14 +3,19 @@ representation, and the devirtualization map onto U(gl(n)).
 
 A generator e_{a,b} is a pair of symbols (a, b); a word is a tuple of
 generators written left to right, and the rightmost factor acts first. An
-element is a dict mapping words to nonzero Fractions; the empty word is 1.
+element is a dict mapping words to nonzero coefficients, each an int or a
+Fraction; the empty word is 1. Devirtualization and PBW rewriting only ever
+produce integer coefficients, so they stay plain ints until a caller scales
+by a non-integer.
 
 Devirtualization sends a balanced virtual word to its proper image: the
 leftmost factor whose column symbol is virtual is pushed rightward with
 supercommutator swaps, contraction terms shorten the word, and a word whose
 tracked factor reaches the right end (annihilating a symbol that was never
-created) is dropped. The result for a balanced input is free of virtual
-symbols; a surviving virtual symbol means the input was not balanced.
+created) is dropped. The push is a loop over the factors to the right of the
+tracked one; only the shorter contraction words recurse. The result for a
+balanced input is free of virtual symbols; a surviving virtual symbol means
+the input was not balanced.
 """
 
 from __future__ import annotations
@@ -91,10 +96,10 @@ def supercommutator(g: Gen, h: Gen) -> EnvelopingElement:
     c, d = h
     out: EnvelopingElement = {}
     if b == c:
-        elem_add_into(out, {((a, d),): Fraction(1)})
+        elem_add_into(out, {((a, d),): 1})
     if a == d:
         sign = -1 if gen_degree(g) and gen_degree(h) else 1
-        elem_add_into(out, {((c, b),): Fraction(-sign)})
+        elem_add_into(out, {((c, b),): -sign})
     return out
 
 
@@ -142,7 +147,7 @@ def pbw_word(word: Word) -> EnvelopingElement:
             result = out
             break
     if result is None:
-        result = {word: Fraction(1)}
+        result = {word: 1}
     _pbw_cache[word] = result
     return result
 
@@ -201,38 +206,34 @@ def random_balanced_word(rng, n: int, max_len: int = 6, alphas: int = 2, betas: 
 
 
 _devirt_cache: dict = {}
-_push_cache: dict = {}
-
-
-def _push(word: Word, k: int) -> EnvelopingElement:
-    """Move the virtual-annihilating factor at position k to the right until
-    it contracts or falls off the end."""
-    key = (word, k)
-    cached = _push_cache.get(key)
-    if cached is not None:
-        return cached
-    if k == len(word) - 1:
-        result: EnvelopingElement = {}
-    else:
-        g, h = word[k], word[k + 1]
-        sign = -1 if gen_degree(g) and gen_degree(h) else 1
-        result = {}
-        elem_add_into(result, _push(word[:k] + (h, g) + word[k + 2 :], k + 1), sign)
-        for (gen,), c in supercommutator(g, h).items():
-            elem_add_into(result, _devirt_word(word[:k] + (gen,) + word[k + 2 :]), c)
-    _push_cache[key] = result
-    return result
 
 
 def _devirt_word(word: Word) -> EnvelopingElement:
+    """Image of one word. The first factor g = e_{a,v} with a virtual column
+    symbol v moves right past each later factor h, collecting the Koszul
+    sign of the swaps made so far; each step adds the contraction terms
+    sign * [g, h] in place of the pair, and g contributes nothing once it
+    falls off the right end."""
     cached = _devirt_cache.get(word)
     if cached is not None:
         return cached
-    pos = next((k for k, g in enumerate(word) if not is_proper(g[1])), None)
-    if pos is None:
-        result = {word: Fraction(1)}
+    k = next((k for k, g in enumerate(word) if not is_proper(g[1])), None)
+    if k is None:
+        result = {word: 1}
     else:
-        result = _push(word, pos)
+        g = word[k]
+        a, v = g
+        g_odd = gen_degree(g)
+        result = {}
+        sign = 1
+        for j in range(k + 1, len(word)):
+            h = word[j]
+            if v == h[0] or a == h[1]:  # otherwise [g, h] = 0
+                head = word[:k] + word[k + 1 : j]
+                for (gen,), c in supercommutator(g, h).items():
+                    elem_add_into(result, _devirt_word(head + (gen,) + word[j + 1 :]), sign * c)
+            if g_odd and gen_degree(h):
+                sign = -sign
     _devirt_cache[word] = result
     return result
 
@@ -267,9 +268,16 @@ def adjoint(g: Gen, x: EnvelopingElement) -> EnvelopingElement:
 
 
 def is_central(x: EnvelopingElement, n: int) -> bool:
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if pbw_normal_form(adjoint((i, j), x)):
+    """Whether x in U(gl(n)) commutes with all of gl(n). The Chevalley
+    generators e_{i,i+1} and e_{i+1,i} generate sl(n), and the identity
+    matrix is central in U(gl(n)), so commuting with those 2(n-1)
+    generators is enough. Raises for a letter outside 1..n, where that
+    argument does not hold."""
+    if not {s for word in x for g in word for s in g} <= set(range(1, n + 1)):
+        raise ValueError(f"is_central needs an element of U(gl({n}))")
+    for i in range(1, n):
+        for g in ((i, i + 1), (i + 1, i)):
+            if pbw_normal_form(adjoint(g, x)):
                 return False
     return True
 

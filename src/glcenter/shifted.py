@@ -195,7 +195,7 @@ def sp_divide_exact(num: ShiftedPolynomial, den: ShiftedPolynomial) -> ShiftedPo
         q = tuple(a - b for a, b in zip(mono, dmono))
         if any(e < 0 for e in q):
             raise ValueError("polynomial division failed to be exact")
-        qterm = ShiftedPolynomial(num.n, {q: coeff / dcoeff})
+        qterm = ShiftedPolynomial(num.n, {q: Fraction(coeff) / dcoeff})
         sp_add_into(quot, qterm)
         sp_add_into(rem, sp_mul(qterm, den), -1)
     return quot

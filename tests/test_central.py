@@ -196,3 +196,37 @@ def test_duality_needs_small_shapes():
     # the two agree on weights with at most two columns and two rows
     for mu in [(1,), (2,), (1, 1), (2, 1), (2, 2)]:
         assert eigenvalue(s, mu) == eigenvalue(w, mu)
+
+
+def test_constructor_coefficients_are_exact():
+    # the virtual constructors build integer bodies; normalized elements
+    # may carry Fractions; nothing is ever a float
+    integral = [
+        capelli_bitableau(((1, 2),), ((2, 1),)),
+        young_capelli(((1, 2),), ((1, 2),)),
+        double_young_capelli(((1, 2),), ((1, 2),)),
+        capelli_immanant((2, 1), (1, 2, 3), (1, 2, 3)),
+        capelli_H(2, 3).body,
+    ]
+    for body in integral:
+        assert body and {type(c) for c in body.values()} == {int}
+    exact = [
+        schur_element((2, 1), 2).body,
+        nazarov_umeda_I(2, 2).body,
+        nazarov_umeda_I_cper(2, 2).body,
+        capelli_H_cdet(2, 2).body,
+        duality_W(capelli_H(2, 2)).body,
+        embed(capelli_H(1, 2)).body,
+    ]
+    for body in exact:
+        assert body and {type(c) for c in body.values()} <= {int, Fraction}
+    value = eigenvalue(capelli_H(2, 2), (1, 1))
+    assert type(value) is Fraction and value == 2
+
+
+def test_provenance_records_maps():
+    assert duality_W(capelli_H(2, 2)).provenance == "W(H:2@n=2)"
+    assert embed(capelli_H(1, 2)).provenance == "embed(H:1@n=2)"
+    projected = olshanski_project(duality_W(capelli_H(2, 3)))
+    assert projected.provenance == "project(W(H:2@n=3))"
+    assert projected.body == nazarov_umeda_I(2, 2).body

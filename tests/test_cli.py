@@ -188,3 +188,24 @@ def test_threads_env(monkeypatch, capsys):
     rc, _, err = run(capsys, *argv)
     assert rc == 2
     assert "error" in err.lower()
+
+
+def test_out_unwritable_path_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x"
+    rc, out, err = run(capsys, "element", "--spec", "H:1@n=2", "--out", str(target))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: cannot write --out ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not target.exists()
+
+
+def test_verify_hc_labels(capsys):
+    rc, out, _ = run(capsys, "verify", "--suite", "hc", "--max-size", "1", "--max-n", "1")
+    assert rc == 0
+    assert out == (
+        "PASS hc-e* H:1@n=1\n"
+        "PASS hc-h* I:1@n=1\n"
+        "PASS hc-s* S:1@n=1\n"
+        "suite hc: 3/3 passed\n"
+    )

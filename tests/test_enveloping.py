@@ -2,12 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from glcenter import enveloping
+from glcenter.central import capelli_bitableau, capelli_H
 from glcenter.enveloping import (
     act,
     adjoint,
     devirtualize,
+    elem_add_into,
     elem_mul,
     elem_scale,
     element_from_json_obj,
@@ -218,3 +221,115 @@ def test_element_json_round_trip():
     assert element_from_json_obj(obj) == x
     y = pbw_normal_form(elem_mul(e(1, 2), e(2, 1)))
     assert element_from_json_obj(element_to_json_obj(y, pbw_canonical=True)) == y
+
+
+# The recursive push memoized per (word, k), as devirtualization was first
+# written: the reference for the loop in enveloping._devirt_word.
+def _oracle_push(word, k, push_cache, devirt_cache):
+    key = (word, k)
+    if key in push_cache:
+        return push_cache[key]
+    result = {}
+    if k < len(word) - 1:
+        g, h = word[k], word[k + 1]
+        sign = -1 if gen_degree(g) and gen_degree(h) else 1
+        swapped = word[:k] + (h, g) + word[k + 2 :]
+        elem_add_into(result, _oracle_push(swapped, k + 1, push_cache, devirt_cache), sign)
+        for (gen,), c in supercommutator(g, h).items():
+            contracted = word[:k] + (gen,) + word[k + 2 :]
+            elem_add_into(result, _oracle_devirt_word(contracted, push_cache, devirt_cache), c)
+    push_cache[key] = result
+    return result
+
+
+def _oracle_devirt_word(word, push_cache, devirt_cache):
+    if word not in devirt_cache:
+        pos = next((k for k, g in enumerate(word) if not is_proper(g[1])), None)
+        if pos is None:
+            devirt_cache[word] = {word: Fraction(1)}
+        else:
+            devirt_cache[word] = _oracle_push(word, pos, push_cache, devirt_cache)
+    return devirt_cache[word]
+
+
+def test_devirtualize_matches_recursive_push():
+    rng = random.Random(2024)
+    words = [random_balanced_word(rng, 3, max_len=8) for _ in range(300)]
+    assert max(len(w) for w in words) == 8
+    push_cache, devirt_cache = {}, {}
+    for word in words:
+        expected = _oracle_devirt_word(word, push_cache, devirt_cache)
+        assert enveloping._devirt_word(word) == expected, word
+        assert devirtualize({word: 1}) == pbw_normal_form(expected), word
+
+
+def _coefficient_types(x):
+    return {type(c) for c in x.values()}
+
+
+def test_coefficients_are_exact():
+    rng = random.Random(7)
+    for _ in range(40):
+        word = random_balanced_word(rng, 3, max_len=6)
+        assert _coefficient_types(devirtualize({word: 1})) <= {int}
+        assert _coefficient_types(devirtualize({word: Fraction(1, 3)})) <= {Fraction}
+    x = elem_mul(elem_mul(e(1, 2), e(2, 3)), e(3, 1))
+    assert _coefficient_types(pbw_normal_form({w: 1 for w in x})) == {int}
+    assert _coefficient_types(pbw_normal_form(x)) <= {int, Fraction}
+
+
+# Small elements of U(gl(3)): single generators (e_{11} among them),
+# Capelli bitableau images, and the central generators H_k(3).
+_GL3_BLOCKS = (
+    [e(i, j) for i in range(1, 4) for j in range(1, 4)]
+    + [capelli_bitableau(S, T) for S, T in [
+        (((1,),), ((2,),)),
+        (((2,),), ((2,),)),
+        (((1, 2),), ((1, 2),)),
+        (((1,), (2,)), ((2,), (3,))),
+    ]]
+    + [capelli_H(k, 3).body for k in (1, 2, 3)]
+)
+
+
+def _is_central_brute_force(x, n):
+    return all(
+        not pbw_normal_form(adjoint((i, j), x))
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+    )
+
+
+_gl3_element = st.lists(
+    st.tuples(
+        st.lists(st.sampled_from(range(len(_GL3_BLOCKS))), min_size=1, max_size=2),
+        st.integers(min_value=-2, max_value=2),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_gl3_element)
+@example([([0], 1)])  # e_{11}: not central
+@example([([13], 1), ([14, 15], -2)])  # a polynomial in the H_k(3): central
+@example([([13, 9], 1)])  # H_1(3) times e_{12}: not central
+def test_is_central_matches_all_generators(terms):
+    x = {}
+    for factors, c in terms:
+        product = one()
+        for f in factors:
+            product = elem_mul(product, _GL3_BLOCKS[f])
+        elem_add_into(x, product, c)
+    x = pbw_normal_form(x)
+    assert is_central(x, 3) == _is_central_brute_force(x, 3)
+
+
+def test_is_central_rejects_letters_outside_gl_n():
+    with pytest.raises(ValueError):
+        is_central(e(3, 3), 2)
+    with pytest.raises(ValueError):
+        is_central({((1, alpha(1)),): 1}, 2)
+    assert is_central(e(1, 1), 1)
+    assert is_central(one(), 1)

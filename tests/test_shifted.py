@@ -173,6 +173,21 @@ def test_sp_divide_exact():
         sp_divide_exact(x1, sp_zero(n))
 
 
+def test_sp_divide_exact_keeps_integer_input_exact():
+    # int / int is a float; the quotient must stay in Fractions
+    num = ShiftedPolynomial(1, {(2,): 1, (1,): 3})
+    q = sp_divide_exact(num, ShiftedPolynomial(1, {(1,): 2}))
+    assert q.terms == {(1,): Fraction(1, 2), (0,): Fraction(3, 2)}
+    assert {type(c) for c in q.terms.values()} == {Fraction}
+
+
+def test_harish_chandra_of_integer_body():
+    p = harish_chandra(capelli_H(2, 3))
+    assert p == e_star(2, 3)
+    assert {type(c) for c in p.terms.values()} <= {int, Fraction}
+    assert {type(c) for c in express_in_estar_basis(p).values()} <= {int, Fraction}
+
+
 def test_eval_at_partition_pads_with_zeros():
     assert eval_at_partition(e_star(1, 3), (2,)) == 2
     assert eval_at_partition(sp_const(2, 5), ()) == 5
