@@ -26,6 +26,7 @@ from .combinatorics import (
     hook_number,
     parse_partition,
     parse_tableau,
+    partitions_upto,
     size,
 )
 from .superspace import poly_mul
@@ -175,8 +176,16 @@ def cmd_eigen(args) -> int:
     return 0
 
 
-def cmd_hc(args) -> int:
+def _build_central(args) -> central.CentralElement:
+    """The element of the spec, for a map that is defined only on the center."""
     x = build_element(_spec_of(args))
+    if not enveloping.is_central(x.body, x.n):
+        raise VerificationFailure("input is not central")
+    return x
+
+
+def cmd_hc(args) -> int:
+    x = _build_central(args)
     try:
         img = shifted.harish_chandra(x)
     except ValueError as exc:
@@ -189,7 +198,7 @@ def cmd_hc(args) -> int:
 
 
 def cmd_dual(args) -> int:
-    x = build_element(_spec_of(args))
+    x = _build_central(args)
     try:
         y = central.duality_W(x)
     except ValueError as exc:
@@ -202,7 +211,7 @@ def cmd_dual(args) -> int:
 
 
 def cmd_project(args) -> int:
-    x = build_element(_spec_of(args))
+    x = _build_central(args)
     try:
         y = central.olshanski_project(x)
     except ValueError as exc:
@@ -212,20 +221,6 @@ def cmd_project(args) -> int:
     else:
         _emit(enveloping.format_element(y.body), args.out)
     return 0
-
-
-def _partitions_of(total: int, cap: int):
-    if total == 0:
-        yield ()
-        return
-    for first in range(min(total, cap), 0, -1):
-        for rest in _partitions_of(total - first, first):
-            yield (first,) + rest
-
-
-def _partitions_upto(m: int):
-    for total in range(1, m + 1):
-        yield from _partitions_of(total, total)
 
 
 def _suite_core(max_size: int, max_n: int, seed: int, d: int) -> list:
@@ -306,7 +301,7 @@ def _action_matches(word, monos) -> bool:
 def _suite_schur(max_size: int, max_n: int, seed: int, d: int) -> list:
     checks = []
     for n in range(1, max_n + 1):
-        for lam in _partitions_upto(max_size):
+        for lam in partitions_upto(max_size, include_empty=False):
             if conjugate(lam)[0] > n:
                 continue
             name = f"S:{format_partition(lam)}@n={n}"
@@ -322,7 +317,7 @@ def _suite_schur(max_size: int, max_n: int, seed: int, d: int) -> list:
 
             def vanish(lam=lam, n=n):
                 x = central.schur_element(lam, n)
-                for mu in _partitions_upto(size(lam)):
+                for mu in partitions_upto(size(lam), include_empty=False):
                     if mu == lam or len(mu) > n:
                         continue
                     if central.eigenvalue(x, mu) != 0:
@@ -344,7 +339,7 @@ def _suite_schur(max_size: int, max_n: int, seed: int, d: int) -> list:
 def _suite_duality(max_size: int, max_n: int, seed: int, d: int) -> list:
     checks = []
     for n in range(2, max_n + 1):
-        for lam in _partitions_upto(max_size):
+        for lam in partitions_upto(max_size, include_empty=False):
             if size(lam) > n:
                 continue
             checks.append(
@@ -367,7 +362,7 @@ def _suite_duality(max_size: int, max_n: int, seed: int, d: int) -> list:
                 )
             )
     for k in range(1, max_size + 1):
-        for mu in _partitions_upto(max_size):
+        for mu in partitions_upto(max_size, include_empty=False):
             if mu[0] > max_n or conjugate(mu)[0] > max_n:
                 continue
             nv = max(k, mu[0], len(mu), 1)
@@ -415,7 +410,7 @@ def _suite_olshanski(max_size: int, max_n: int, seed: int, d: int) -> list:
                 == {},
             )
         )
-        for lam in _partitions_upto(max_size):
+        for lam in partitions_upto(max_size, include_empty=False):
             if conjugate(lam)[0] > n - 1:
                 continue
             checks.append(
@@ -462,7 +457,7 @@ def _suite_hc(max_size: int, max_n: int, seed: int, d: int) -> list:
                     ),
                 )
             )
-        for lam in _partitions_upto(max_size):
+        for lam in partitions_upto(max_size, include_empty=False):
             if conjugate(lam)[0] > n:
                 continue
             checks.append(
@@ -471,6 +466,7 @@ def _suite_hc(max_size: int, max_n: int, seed: int, d: int) -> list:
                     lambda lam=lam, n=n: (
                         shifted.harish_chandra(central.schur_element(lam, n))
                         == shifted.s_star(lam, n)
+                        == shifted.s_star_determinant(lam, n)
                     ),
                 )
             )

@@ -65,6 +65,26 @@ def conjugate(lam: Partition) -> Partition:
     return tuple(sum(1 for part in lam if part >= j) for j in range(1, lam[0] + 1))
 
 
+def partitions_of(total: int, cap: int | None = None) -> list[Partition]:
+    """All partitions of total with parts at most cap, largest part first."""
+    cap = total if cap is None else cap
+    if total == 0:
+        return [()]
+    out = []
+    for first in range(min(total, cap), 0, -1):
+        out.extend((first,) + rest for rest in partitions_of(total - first, first))
+    return out
+
+
+def partitions_upto(m: int, include_empty: bool = True) -> list[Partition]:
+    """All partitions of size 0..m (1..m without the empty one), by size and
+    largest part first within a size."""
+    out = [()] if include_empty else []
+    for total in range(1, m + 1):
+        out.extend(partitions_of(total))
+    return out
+
+
 def contains(lam: Partition, mu: Partition) -> bool:
     """True iff the diagram of lam fits inside the diagram of mu."""
     return len(lam) <= len(mu) and all(l <= m for l, m in zip(lam, mu))

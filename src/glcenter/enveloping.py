@@ -130,7 +130,7 @@ def pbw_key(g: Gen) -> tuple:
 _pbw_cache: dict = {}
 
 
-def pbw_word(word: Word) -> EnvelopingElement:
+def _pbw_word(word: Word) -> EnvelopingElement:
     """Normal form of one proper word: lowering, Cartan, raising blocks left
     to right, weakly increasing lexicographically inside each block."""
     cached = _pbw_cache.get(word)
@@ -141,9 +141,9 @@ def pbw_word(word: Word) -> EnvelopingElement:
         if pbw_key(word[k]) > pbw_key(word[k + 1]):
             g, h = word[k], word[k + 1]
             out: EnvelopingElement = {}
-            elem_add_into(out, pbw_word(word[:k] + (h, g) + word[k + 2 :]))
+            elem_add_into(out, _pbw_word(word[:k] + (h, g) + word[k + 2 :]))
             for (gen,), c in supercommutator(g, h).items():
-                elem_add_into(out, pbw_word(word[:k] + (gen,) + word[k + 2 :]), c)
+                elem_add_into(out, _pbw_word(word[:k] + (gen,) + word[k + 2 :]), c)
             result = out
             break
     if result is None:
@@ -158,7 +158,7 @@ def pbw_normal_form(x: EnvelopingElement) -> EnvelopingElement:
         for g in word:
             if not (is_proper(g[0]) and is_proper(g[1])):
                 raise ValueError(f"non-proper generator in PBW input: {g}")
-        elem_add_into(out, pbw_word(word), coeff)
+        elem_add_into(out, _pbw_word(word), coeff)
     return out
 
 

@@ -9,7 +9,6 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 from math import factorial
 
-from conftest import partitions_upto
 from glcenter import linalg
 from glcenter.central import (
     capelli_H,
@@ -29,6 +28,7 @@ from glcenter.combinatorics import (
     enumerate_horizontal_strips,
     enumerate_vertical_strips,
     hook_number,
+    partitions_upto,
     size,
     strip_factorial,
 )

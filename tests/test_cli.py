@@ -121,6 +121,19 @@ def test_verification_failures(capsys):
     assert err.startswith("verification failure:")
 
 
+def test_maps_on_the_center_reject_non_central_input(capsys):
+    # e_{12} and e_{11}: hc, dual and project are defined only on the center
+    for verb, spec in [
+        ("dual", "CB:1|2@n=2"),
+        ("project", "CB:1|1@n=2"),
+        ("hc", "CB:1|2@n=2"),
+    ]:
+        rc, out, err = run(capsys, verb, "--spec", spec)
+        assert rc == 1, (verb, spec)
+        assert out == ""
+        assert err == "verification failure: input is not central\n"
+
+
 def test_verify_core_suite(capsys):
     rc, out, _ = run(capsys, "verify", "--suite", "core", "--max-size", "2", "--max-n", "2")
     assert rc == 0

@@ -3,7 +3,6 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import partitions_upto
 from glcenter.combinatorics import (
     Strip,
     cells,
@@ -25,6 +24,8 @@ from glcenter.combinatorics import (
     parse_partition,
     parse_tableau,
     partition_factorial,
+    partitions_of,
+    partitions_upto,
     permutation_cycle_type,
     permutation_sign,
     shape_of,
@@ -118,6 +119,18 @@ def test_hook_number_counts_standard_tableaux():
             if size(lam) == m
         )
         assert total == factorial(m)
+
+
+def test_partition_enumeration_order():
+    # by size, largest part first: the verify suites list checks in this order
+    assert partitions_of(4) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+    assert partitions_of(4, 2) == [(2, 2), (2, 1, 1), (1, 1, 1, 1)]
+    assert partitions_of(0) == [()]
+    assert partitions_upto(3) == [(), (1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1)]
+    assert partitions_upto(2, include_empty=False) == [(1,), (2,), (1, 1)]
+    for m in range(7):
+        assert all(is_partition(lam) for lam in partitions_upto(m))
+        assert len(set(partitions_of(m))) == len(partitions_of(m))
 
 
 def test_partition_factorial():

@@ -96,6 +96,19 @@ def test_pbw_words_are_sorted():
         assert keys == sorted(keys)
 
 
+def test_pbw_normal_form_result_is_the_callers_own():
+    # the per-word memo must not hand its own dicts out: mutating one
+    # result may not change a later normal form of the same word
+    word = ((1, 2), (2, 1))
+    expected = {((2, 1), (1, 2)): 1, ((1, 1),): 1, ((2, 2),): -1}
+    got = pbw_normal_form({word: 1})
+    assert got == expected
+    got[((3, 3),)] = 5
+    for w in expected:
+        got[w] *= 7
+    assert pbw_normal_form({word: 1}) == expected
+
+
 @settings(max_examples=60, deadline=None)
 @given(proper_word_strategy, proper_word_strategy)
 def test_pbw_normal_form_is_multiplicative(w1, w2):

@@ -1,4 +1,5 @@
-"""Byte-identical CLI output on the cheap fixed specs of the benchmark.
+"""Byte-identical CLI output on the cheap fixed specs of the benchmark and
+on the Harish-Chandra verify suite.
 
 Each spec's stdout is hashed and compared with the SHA-256 recorded in
 perfbench/refs.json (read only). The hashes do not depend on
@@ -29,3 +30,11 @@ def test_golden_output(capsys, verb, spec):
     assert main([verb, "--spec", spec, "--format", "text"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == REFS[f"{verb} {spec}"]
+
+
+def test_verify_hc_output(capsys):
+    # hc-s* compares harish_chandra(S), s_star and s_star_determinant
+    argv = ["verify", "--suite", "hc", "--max-n", "4", "--max-size", "4", "--seed", "0"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == REFS["verify hc"]

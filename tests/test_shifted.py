@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import partitions_upto
+from glcenter import shifted
 from glcenter.central import CentralElement, capelli_H, nazarov_umeda_I, schur_element
-from glcenter.combinatorics import conjugate, contains, hook_number, size
+from glcenter.combinatorics import conjugate, contains, hook_number, partitions_upto, size
 from glcenter.shifted import (
     ShiftedPolynomial,
     e_star,
@@ -71,6 +71,22 @@ def test_s_star_presentations_agree():
             if len(lam) > n:
                 continue
             assert s_star_determinant(lam, n) == s_star_tableau(lam, n)
+    for lam in partitions_upto(4):
+        assert s_star_determinant(lam, 4) == s_star_tableau(lam, 4), lam
+    # the size of the s_star hot path in the shifted-n5 benchmark
+    assert s_star_determinant((2, 1), 5) == s_star_tableau((2, 1), 5)
+
+
+def test_s_star_is_the_tableau_route(monkeypatch):
+    # the n!-term determinant is a check only, never on the s_star path
+    def refuse(lam, n):
+        raise AssertionError("s_star called the determinant route")
+
+    monkeypatch.setattr(shifted, "s_star_determinant", refuse)
+    for n in range(1, 6):
+        for lam in partitions_upto(4):
+            if len(lam) <= n:
+                assert s_star(lam, n) == s_star_tableau(lam, n), (lam, n)
 
 
 def test_s_star_vanishing_and_normalization():
