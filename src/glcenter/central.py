@@ -35,15 +35,14 @@ from .enveloping import (
     EnvelopingElement,
     act,
     devirtualize,
-    elem_add_into,
     elem_mul,
-    elem_scale,
     gen_key,
     one,
     pbw_normal_form,
 )
+from .lincomb import add_into, add_term, scale
 from .shifted import express_in_estar_basis, harish_chandra
-from .superspace import alpha, beta, highest_weight_vector, is_proper, poly_scale, poly_sub
+from .superspace import alpha, beta, highest_weight_vector, is_proper
 
 
 @dataclass
@@ -169,11 +168,7 @@ def _yc_expansion(S: Tableau, T: Tableau, pool: int) -> EnvelopingElement:
         if res is None:
             continue
         sign, word = res
-        v = acc.get(word, 0) + sign
-        if v:
-            acc[word] = v
-        else:
-            acc.pop(word, None)
+        add_term(acc, word, sign)
     return acc
 
 
@@ -198,12 +193,7 @@ def _dyc_expansion_body(S: Tableau, T: Tableau, pool: int) -> EnvelopingElement:
     global_sign = -1 if (h * (h - 1) // 2) % 2 else 1
     acc: EnvelopingElement = {}
     for sign, Ts in _row_permuted(T):
-        for word, c in _yc_expansion(S, Ts, pool).items():
-            v = acc.get(word, 0) + global_sign * sign * c
-            if v:
-                acc[word] = v
-            else:
-                acc.pop(word, None)
+        add_into(acc, _yc_expansion(S, Ts, pool), global_sign * sign)
     return devirtualize(acc)
 
 
@@ -237,8 +227,8 @@ def schur_element(lam: Partition, n: int, pool: int = 0) -> CentralElement:
         raise ValueError(f"schur element needs at most n rows in the conjugate, got {lam_t[0]} > {n}")
     body: EnvelopingElement = {}
     for S in enumerate_row_increasing(lam_t, n):
-        elem_add_into(body, _dyc_expansion_body(S, S, pool))
-    body = elem_scale(body, Fraction(1, hook_number(lam_t)))
+        add_into(body, _dyc_expansion_body(S, S, pool))
+    body = scale(body, Fraction(1, hook_number(lam_t)))
     if not lam:
         body = one()
     return CentralElement(body, n, f"S:{format_partition(lam)}@n={n}")
@@ -264,19 +254,21 @@ def capelli_H_cdet(k: int, n: int) -> CentralElement:
         raise ValueError(f"H_k needs 1 <= k <= n, got k={k}, n={n}")
     body: EnvelopingElement = {}
     for idx in combinations(range(1, n + 1), k):
-        entries = [
-            [
-                _matrix_entry(idx[r], idx[c], k - 1 - r if r == c else 0)
-                for c in range(k)
-            ]
-            for r in range(k)
-        ]
-        for perm in permutations(range(k)):
-            term = one()
-            for c in range(k):
-                term = elem_mul(term, entries[perm[c]][c])
-            elem_add_into(body, term, permutation_sign(perm))
+        _add_column_expansion(body, idx, lambda r, c: k - 1 - r if r == c else 0, permutation_sign)
     return CentralElement(pbw_normal_form(body), n, f"H:{k}@n={n}")
+
+
+def _add_column_expansion(body: EnvelopingElement, idx: tuple, shift, weight) -> None:
+    """Add to body the sum over permutations perm of weight(perm) times the
+    column product M[perm[0]][0] ... M[perm[k-1]][k-1] of the k x k matrix
+    M[r][c] = e_{idx_r, idx_c} + shift(r, c)."""
+    k = len(idx)
+    entries = [[_matrix_entry(idx[r], idx[c], shift(r, c)) for c in range(k)] for r in range(k)]
+    for perm in permutations(range(k)):
+        term = one()
+        for c in range(k):
+            term = elem_mul(term, entries[perm[c]][c])
+        add_into(body, term, weight(perm))
 
 
 def _matrix_entry(i: int, j: int, shift: int) -> EnvelopingElement:
@@ -325,18 +317,12 @@ def nazarov_umeda_I_cper(k: int, n: int) -> CentralElement:
         coeff = Fraction(1)
         for j in range(1, n + 1):
             coeff /= factorial(sum(1 for i in idx if i == j))
-        entries = [
-            [
-                _matrix_entry(idx[r], idx[c], -(k - 1 - c) if idx[r] == idx[c] else 0)
-                for c in range(k)
-            ]
-            for r in range(k)
-        ]
-        for perm in permutations(range(k)):
-            term = one()
-            for c in range(k):
-                term = elem_mul(term, entries[perm[c]][c])
-            elem_add_into(body, term, coeff)
+        _add_column_expansion(
+            body,
+            idx,
+            lambda r, c: -(k - 1 - c) if idx[r] == idx[c] else 0,
+            lambda perm: coeff,
+        )
     return CentralElement(pbw_normal_form(body), n, f"I:{k}@n={n}")
 
 
@@ -364,8 +350,8 @@ def capelli_immanant(mu: Partition, left, right, pool: int = 0) -> EnvelopingEle
         word_b = tuple((left[r], alpha(r + 1 + pool)) for r in range(h)) + tuple(
             (alpha(r + 1 + pool), right[perm[r]]) for r in range(h)
         )
-        elem_add_into(form_a, {word_a: chi})
-        elem_add_into(form_b, {word_b: chi})
+        add_term(form_a, word_a, chi)
+        add_term(form_b, word_b, chi)
     result_a = devirtualize(form_a)
     result_b = devirtualize(form_b)
     if result_a != result_b:
@@ -387,7 +373,7 @@ def eigenvalue(x: CentralElement, mu: Partition) -> Fraction:
         return Fraction(0)
     mono = next(iter(v))
     ratio = Fraction(w.get(mono, 0)) / v[mono]
-    if poly_sub(w, poly_scale(v, ratio)):
+    if w != scale(v, ratio):
         raise ValueError("image is not a scalar multiple of the highest weight vector")
     return ratio
 
@@ -409,23 +395,15 @@ def olshanski_project(x: CentralElement) -> CentralElement:
     return CentralElement(body, n - 1, f"project({x.provenance})")
 
 
-def _h_polynomial_body(coeffs: dict, n: int) -> EnvelopingElement:
+def _polynomial_body(coeffs: dict, n: int, generator) -> EnvelopingElement:
+    """PBW form of the polynomial coeffs (multisets of k to coefficients) in
+    the elements generator(k, n)."""
     body: EnvelopingElement = {}
     for key, c in coeffs.items():
         term = one()
         for k in key:
-            term = elem_mul(term, capelli_H(k, n).body)
-        elem_add_into(body, term, c)
-    return pbw_normal_form(body)
-
-
-def _i_polynomial_body(coeffs: dict, n: int) -> EnvelopingElement:
-    body: EnvelopingElement = {}
-    for key, c in coeffs.items():
-        term = one()
-        for k in key:
-            term = elem_mul(term, nazarov_umeda_I(k, n).body)
-        elem_add_into(body, term, c)
+            term = elem_mul(term, generator(k, n).body)
+        add_into(body, term, c)
     return pbw_normal_form(body)
 
 
@@ -435,7 +413,7 @@ def embed(x: CentralElement) -> CentralElement:
     same polynomial in H_1..H_n at n+1."""
     coeffs = express_in_estar_basis(harish_chandra(x))
     return CentralElement(
-        _h_polynomial_body(coeffs, x.n + 1), x.n + 1, f"embed({x.provenance})"
+        _polynomial_body(coeffs, x.n + 1, capelli_H), x.n + 1, f"embed({x.provenance})"
     )
 
 
@@ -443,4 +421,6 @@ def duality_W(x: CentralElement) -> CentralElement:
     """The duality automorphism: substitute H_k -> I_k through the e*-basis
     expression of the Harish-Chandra image."""
     coeffs = express_in_estar_basis(harish_chandra(x))
-    return CentralElement(_i_polynomial_body(coeffs, x.n), x.n, f"W({x.provenance})")
+    return CentralElement(
+        _polynomial_body(coeffs, x.n, nazarov_umeda_I), x.n, f"W({x.provenance})"
+    )

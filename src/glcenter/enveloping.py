@@ -3,10 +3,10 @@ representation, and the devirtualization map onto U(gl(n)).
 
 A generator e_{a,b} is a pair of symbols (a, b); a word is a tuple of
 generators written left to right, and the rightmost factor acts first. An
-element is a dict mapping words to nonzero coefficients, each an int or a
-Fraction; the empty word is 1. Devirtualization and PBW rewriting only ever
-produce integer coefficients, so they stay plain ints until a caller scales
-by a non-integer.
+element is a sparse linear combination (see `lincomb`) mapping words to
+nonzero coefficients, each an int or a Fraction; the empty word is 1.
+Devirtualization and PBW rewriting only ever produce integer coefficients,
+so they stay plain ints until a caller scales by a non-integer.
 
 Devirtualization sends a balanced virtual word to its proper image: the
 leftmost factor whose column symbol is virtual is pushed rightward with
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .lincomb import add_into, add_term, format_terms
 from .superspace import (
     SuperPolynomial,
     _sym_from_json,
@@ -52,37 +53,11 @@ def one() -> EnvelopingElement:
     return {(): Fraction(1)}
 
 
-def elem_add_into(x: EnvelopingElement, y: EnvelopingElement, c=1) -> None:
-    for w, q in y.items():
-        v = x.get(w, 0) + q * c
-        if v:
-            x[w] = v
-        else:
-            x.pop(w, None)
-
-
-def elem_scale(x: EnvelopingElement, c) -> EnvelopingElement:
-    c = Fraction(c)
-    if not c:
-        return {}
-    return {w: q * c for w, q in x.items()}
-
-
-def elem_sub(x: EnvelopingElement, y: EnvelopingElement) -> EnvelopingElement:
-    out = dict(x)
-    elem_add_into(out, y, -1)
-    return out
-
-
 def elem_mul(x: EnvelopingElement, y: EnvelopingElement) -> EnvelopingElement:
     out: EnvelopingElement = {}
     for w1, c1 in x.items():
-        for w2, c2 in y.items():
-            v = out.get(w1 + w2, 0) + c1 * c2
-            if v:
-                out[w1 + w2] = v
-            else:
-                out.pop(w1 + w2, None)
+        # concatenation is injective in w2, so each row has distinct words
+        add_into(out, {w1 + w2: c2 for w2, c2 in y.items()}, c1)
     return out
 
 
@@ -96,10 +71,10 @@ def supercommutator(g: Gen, h: Gen) -> EnvelopingElement:
     c, d = h
     out: EnvelopingElement = {}
     if b == c:
-        elem_add_into(out, {((a, d),): 1})
+        add_term(out, ((a, d),), 1)
     if a == d:
         sign = -1 if gen_degree(g) and gen_degree(h) else 1
-        elem_add_into(out, {((c, b),): -sign})
+        add_term(out, ((c, b),), -sign)
     return out
 
 
@@ -112,12 +87,7 @@ def act(x: EnvelopingElement, p: SuperPolynomial) -> SuperPolynomial:
             if not q:
                 break
             q = superpolarize(a, b, q)
-        for mono, c in q.items():
-            v = out.get(mono, 0) + c * coeff
-            if v:
-                out[mono] = v
-            else:
-                out.pop(mono, None)
+        add_into(out, q, coeff)
     return out
 
 
@@ -141,9 +111,9 @@ def _pbw_word(word: Word) -> EnvelopingElement:
         if pbw_key(word[k]) > pbw_key(word[k + 1]):
             g, h = word[k], word[k + 1]
             out: EnvelopingElement = {}
-            elem_add_into(out, _pbw_word(word[:k] + (h, g) + word[k + 2 :]))
+            add_into(out, _pbw_word(word[:k] + (h, g) + word[k + 2 :]))
             for (gen,), c in supercommutator(g, h).items():
-                elem_add_into(out, _pbw_word(word[:k] + (gen,) + word[k + 2 :]), c)
+                add_into(out, _pbw_word(word[:k] + (gen,) + word[k + 2 :]), c)
             result = out
             break
     if result is None:
@@ -158,7 +128,7 @@ def pbw_normal_form(x: EnvelopingElement) -> EnvelopingElement:
         for g in word:
             if not (is_proper(g[0]) and is_proper(g[1])):
                 raise ValueError(f"non-proper generator in PBW input: {g}")
-        elem_add_into(out, _pbw_word(word), coeff)
+        add_into(out, _pbw_word(word), coeff)
     return out
 
 
@@ -231,7 +201,7 @@ def _devirt_word(word: Word) -> EnvelopingElement:
             if v == h[0] or a == h[1]:  # otherwise [g, h] = 0
                 head = word[:k] + word[k + 1 : j]
                 for (gen,), c in supercommutator(g, h).items():
-                    elem_add_into(result, _devirt_word(head + (gen,) + word[j + 1 :]), sign * c)
+                    add_into(result, _devirt_word(head + (gen,) + word[j + 1 :]), sign * c)
             if g_odd and gen_degree(h):
                 sign = -sign
     _devirt_cache[word] = result
@@ -243,7 +213,7 @@ def devirtualize(x: EnvelopingElement) -> EnvelopingElement:
     normal form. Raises when a virtual symbol survives."""
     acc: EnvelopingElement = {}
     for word, coeff in x.items():
-        elem_add_into(acc, _devirt_word(word), coeff)
+        add_into(acc, _devirt_word(word), coeff)
     for word in acc:
         for a, b in word:
             if not (is_proper(a) and is_proper(b)):
@@ -263,7 +233,7 @@ def adjoint(g: Gen, x: EnvelopingElement) -> EnvelopingElement:
         for k in range(len(word)):
             for (gen,), c in supercommutator(g, word[k]).items():
                 w = word[:k] + (gen,) + word[k + 1 :]
-                elem_add_into(out, {w: coeff * c})
+                add_term(out, w, coeff * c)
     return out
 
 
@@ -287,26 +257,10 @@ def word_sort_key(word: Word) -> tuple:
 
 
 def format_element(x: EnvelopingElement) -> str:
-    if not x:
-        return "0"
-    parts = []
-    for word in sorted(x, key=word_sort_key):
-        c = x[word]
-        body = "*".join(
-            f"e[{format_symbol(a)},{format_symbol(b)}]" for a, b in word
-        ) or "1"
-        if c == 1 and word:
-            parts.append(body)
-        elif c == -1 and word:
-            parts.append(f"-{body}")
-        elif not word:
-            parts.append(str(c))
-        else:
-            parts.append(f"{c}*{body}")
-    out = parts[0]
-    for t in parts[1:]:
-        out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-    return out
+    return format_terms(
+        ("*".join(f"e[{format_symbol(a)},{format_symbol(b)}]" for a, b in word), x[word])
+        for word in sorted(x, key=word_sort_key)
+    )
 
 
 def element_to_json_obj(x: EnvelopingElement, pbw_canonical: bool) -> dict:
@@ -327,5 +281,5 @@ def element_from_json_obj(obj: dict) -> EnvelopingElement:
         word = tuple(
             (_sym_from_json(a), _sym_from_json(b)) for a, b in item["word"]
         )
-        elem_add_into(out, {word: Fraction(item["coeff"])})
+        add_term(out, word, Fraction(item["coeff"]))
     return out

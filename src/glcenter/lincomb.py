@@ -1,0 +1,68 @@
+"""Sparse linear combinations: the one kernel under all three algebras.
+
+A combination is a dict mapping basis keys to nonzero exact coefficients,
+each an int or a Fraction; a key whose coefficient sums to zero is removed,
+so two combinations are equal exactly when their dicts are. Superspace
+monomials, enveloping words and shifted exponent tuples are all keys here;
+each algebra keeps its own product, because the three multiply keys
+differently (Koszul-signed sorting, concatenation, exponent addition).
+"""
+
+from __future__ import annotations
+
+
+def add_term(x: dict, key, coeff) -> None:
+    """x += coeff * key, in place."""
+    v = x.get(key, 0) + coeff
+    if v:
+        x[key] = v
+    else:
+        x.pop(key, None)
+
+
+def add_into(x: dict, y: dict, c=1) -> None:
+    """x += c * y, in place."""
+    for key, q in y.items():
+        v = x.get(key, 0) + q * c
+        if v:
+            x[key] = v
+        else:
+            x.pop(key, None)
+
+
+def add(x: dict, y: dict) -> dict:
+    out = dict(x)
+    add_into(out, y)
+    return out
+
+
+def sub(x: dict, y: dict) -> dict:
+    out = dict(x)
+    add_into(out, y, -1)
+    return out
+
+
+def scale(x: dict, c) -> dict:
+    return {key: q * c for key, q in x.items()} if c else {}
+
+
+def format_terms(terms) -> str:
+    """Join (body, coeff) pairs as "a + b - c", in the order given. An empty
+    body is the unit and prints as its coefficient; a coefficient of 1 or -1
+    on any other body prints as its sign alone."""
+    parts = []
+    for body, c in terms:
+        if not body:
+            parts.append(str(c))
+        elif c == 1:
+            parts.append(body)
+        elif c == -1:
+            parts.append(f"-{body}")
+        else:
+            parts.append(f"{c}*{body}")
+    if not parts:
+        return "0"
+    out = parts[0]
+    for t in parts[1:]:
+        out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
+    return out

@@ -1,7 +1,8 @@
 """Shifted symmetric polynomials in n variables over exact rationals.
 
-A polynomial is a dict mapping dense exponent tuples (length n) to nonzero
-Fractions, wrapped with its variable count. Shifted symmetry means
+A polynomial is a sparse linear combination (see `lincomb`) mapping dense
+exponent tuples (length n) to nonzero int or Fraction coefficients, wrapped
+with its variable count. Shifted symmetry means
 p(..., x_i, x_{i+1}, ...) = p(..., x_{i+1} - 1, x_i + 1, ...) for all i;
 the named families e*_k, h*_k, s*_lambda all satisfy it, and the eigenvalue
 map from central elements lands exactly here.
@@ -10,6 +11,7 @@ map from central elements lands exactly here.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
@@ -19,9 +21,9 @@ from .combinatorics import (
     check_partition,
     conjugate,
     enumerate_rssyt,
-    format_partition,
     permutation_sign,
 )
+from .lincomb import add_into, add_term, format_terms
 
 
 @dataclass
@@ -57,37 +59,11 @@ def sp_linear(n: int, i: int, shift) -> ShiftedPolynomial:
     return ShiftedPolynomial(n, terms)
 
 
-def sp_add_into(p: ShiftedPolynomial, q: ShiftedPolynomial, c=1) -> None:
-    for mono, v in q.terms.items():
-        w = p.terms.get(mono, 0) + v * c
-        if w:
-            p.terms[mono] = w
-        else:
-            p.terms.pop(mono, None)
-
-
-def sp_add(p: ShiftedPolynomial, q: ShiftedPolynomial) -> ShiftedPolynomial:
-    out = ShiftedPolynomial(p.n, dict(p.terms))
-    sp_add_into(out, q)
-    return out
-
-
-def sp_sub(p: ShiftedPolynomial, q: ShiftedPolynomial) -> ShiftedPolynomial:
-    out = ShiftedPolynomial(p.n, dict(p.terms))
-    sp_add_into(out, q, -1)
-    return out
-
-
 def sp_mul(p: ShiftedPolynomial, q: ShiftedPolynomial) -> ShiftedPolynomial:
     out: dict = {}
     for m1, c1 in p.terms.items():
-        for m2, c2 in q.terms.items():
-            m = tuple(a + b for a, b in zip(m1, m2))
-            w = out.get(m, 0) + c1 * c2
-            if w:
-                out[m] = w
-            else:
-                out.pop(m, None)
+        # adding m1 is injective in m2, so each row has distinct exponents
+        add_into(out, {tuple(map(operator.add, m1, m2)): c2 for m2, c2 in q.terms.items()}, c1)
     return ShiftedPolynomial(p.n, out)
 
 
@@ -132,7 +108,7 @@ def is_shifted_symmetric(p: ShiftedPolynomial) -> bool:
                 else:
                     base = sp_linear(n, j, 0)
                 factors.extend([base] * e)
-            sp_add_into(swapped, sp_prod(n, factors), c)
+            add_into(swapped.terms, sp_prod(n, factors).terms, c)
         if swapped.terms != p.terms:
             return False
     return True
@@ -144,9 +120,8 @@ def e_star(k: int, n: int) -> ShiftedPolynomial:
         raise ValueError(f"e* needs 0 <= k <= n, got k={k}, n={n}")
     out = sp_zero(n)
     for idx in combinations(range(1, n + 1), k):
-        sp_add_into(
-            out, sp_prod(n, (sp_linear(n, i, k - j) for j, i in enumerate(idx, 1)))
-        )
+        factors = (sp_linear(n, i, k - j) for j, i in enumerate(idx, 1))
+        add_into(out.terms, sp_prod(n, factors).terms)
     return out
 
 
@@ -156,9 +131,8 @@ def h_star(k: int, n: int) -> ShiftedPolynomial:
         raise ValueError("h* needs k >= 0")
     out = sp_zero(n)
     for idx in combinations_with_replacement(range(1, n + 1), k):
-        sp_add_into(
-            out, sp_prod(n, (sp_linear(n, i, j - k) for j, i in enumerate(idx, 1)))
-        )
+        factors = (sp_linear(n, i, j - k) for j, i in enumerate(idx, 1))
+        add_into(out.terms, sp_prod(n, factors).terms)
     return out
 
 
@@ -173,7 +147,7 @@ def _det(n: int, entries) -> ShiftedPolynomial:
     out = sp_zero(n)
     for perm in permutations(range(k)):
         term = sp_prod(n, (entries[perm[c]][c] for c in range(k)))
-        sp_add_into(out, term, permutation_sign(perm))
+        add_into(out.terms, term.terms, permutation_sign(perm))
     return out
 
 
@@ -196,8 +170,8 @@ def sp_divide_exact(num: ShiftedPolynomial, den: ShiftedPolynomial) -> ShiftedPo
         if any(e < 0 for e in q):
             raise ValueError("polynomial division failed to be exact")
         qterm = ShiftedPolynomial(num.n, {q: Fraction(coeff) / dcoeff})
-        sp_add_into(quot, qterm)
-        sp_add_into(rem, sp_mul(qterm, den), -1)
+        add_into(quot.terms, qterm.terms)
+        add_into(rem.terms, sp_mul(qterm, den).terms, -1)
     return quot
 
 
@@ -234,7 +208,7 @@ def s_star_tableau(lam: Partition, n: int) -> ShiftedPolynomial:
         for r, row in enumerate(tab):
             for c, entry in enumerate(row):
                 factors.append(sp_linear(n, entry, -(c - r)))
-        sp_add_into(out, sp_prod(n, factors))
+        add_into(out.terms, sp_prod(n, factors).terms)
     return out
 
 
@@ -260,12 +234,7 @@ def harish_chandra(x) -> ShiftedPolynomial:
                 cartan = False
                 break
         if cartan:
-            mono = tuple(exps)
-            v = out.get(mono, 0) + coeff
-            if v:
-                out[mono] = v
-            else:
-                out.pop(mono, None)
+            add_term(out, tuple(exps), coeff)
     p = ShiftedPolynomial(n, out)
     if not is_shifted_symmetric(p):
         raise ValueError("Harish-Chandra image is not shifted symmetric; input is not central")
@@ -298,7 +267,7 @@ def express_in_estar_basis(p: ShiftedPolynomial) -> dict:
     while rem.terms:
         deg = sp_degree(rem)
         if deg == 0:
-            coeffs[()] = coeffs.get((), 0) + rem.terms[(0,) * n]
+            add_term(coeffs, (), rem.terms[(0,) * n])
             break
         top = [m for m in rem.terms if sum(m) == deg]
         mono = max(top)
@@ -306,9 +275,9 @@ def express_in_estar_basis(p: ShiftedPolynomial) -> dict:
             raise ValueError("input is not shifted symmetric: non-dominant leading term")
         coeff = rem.terms[mono]
         key = conjugate(tuple(e for e in mono if e))
-        coeffs[key] = coeffs.get(key, 0) + coeff
-        sp_add_into(rem, estar_monomial(key, n), -coeff)
-    return {k: v for k, v in coeffs.items() if v}
+        add_term(coeffs, key, coeff)
+        add_into(rem.terms, estar_monomial(key, n).terms, -coeff)
+    return coeffs
 
 
 def estar_monomial(key, n: int) -> ShiftedPolynomial:
@@ -322,7 +291,7 @@ def hstar_monomial(key, n: int) -> ShiftedPolynomial:
 def from_estar_coeffs(coeffs: dict, n: int, gen=estar_monomial) -> ShiftedPolynomial:
     out = sp_zero(n)
     for key, c in coeffs.items():
-        sp_add_into(out, gen(key, n), c)
+        add_into(out.terms, gen(key, n).terms, c)
     return out
 
 
@@ -337,28 +306,13 @@ def omega(p: ShiftedPolynomial) -> ShiftedPolynomial:
 
 
 def format_shifted(p: ShiftedPolynomial) -> str:
-    if not p.terms:
-        return "0"
-    parts = []
-    for mono in sorted(p.terms, reverse=True):
-        c = p.terms[mono]
-        body = "*".join(
-            f"x{i}" if e == 1 else f"x{i}^{e}"
-            for i, e in enumerate(mono, 1)
-            if e
+    return format_terms(
+        (
+            "*".join(f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(mono, 1) if e),
+            p.terms[mono],
         )
-        if not body:
-            parts.append(str(c))
-        elif c == 1:
-            parts.append(body)
-        elif c == -1:
-            parts.append(f"-{body}")
-        else:
-            parts.append(f"{c}*{body}")
-    out = parts[0]
-    for t in parts[1:]:
-        out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-    return out
+        for mono in sorted(p.terms, reverse=True)
+    )
 
 
 def shifted_to_json(p: ShiftedPolynomial) -> str:
@@ -373,8 +327,5 @@ def shifted_from_json(text: str) -> ShiftedPolynomial:
     data = json.loads(text)
     terms = {}
     for item in data["terms"]:
-        mono = tuple(int(e) for e in item["exponents"])
-        c = Fraction(item["coeff"])
-        if c:
-            terms[mono] = terms.get(mono, 0) + c
-    return ShiftedPolynomial(int(data["n"]), {m: c for m, c in terms.items() if c})
+        add_term(terms, tuple(int(e) for e in item["exponents"]), Fraction(item["coeff"]))
+    return ShiftedPolynomial(int(data["n"]), terms)

@@ -9,8 +9,9 @@ is even. Odd variables anticommute and square to zero; even variables are
 central. Monomials are stored sorted by a fixed key with the sign of the
 sorting permutation absorbed into the coefficient.
 
-A polynomial is a dict mapping monomials (tuples of variables) to nonzero
-Fractions; the empty monomial () is the unit.
+A polynomial is a sparse linear combination (see `lincomb`) mapping
+monomials (tuples of variables) to nonzero int or Fraction coefficients; the
+empty monomial () is the unit.
 """
 
 from __future__ import annotations
@@ -20,9 +21,10 @@ import json
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
+from .lincomb import add_into, add_term
+
 Sym = Union[int, tuple]
 Var = tuple  # (symbol, place)
-Monomial = tuple
 SuperPolynomial = dict
 
 
@@ -91,39 +93,9 @@ def normalize_vars(seq: Sequence[Var]) -> tuple:
     return tuple(sorted(seq, key=var_key)), -1 if inv % 2 else 1
 
 
-def zero() -> SuperPolynomial:
-    return {}
-
-
 def const(c) -> SuperPolynomial:
     c = Fraction(c)
     return {(): c} if c else {}
-
-
-def add_term(p: SuperPolynomial, mono: Monomial, coeff) -> None:
-    c = p.get(mono, 0) + coeff
-    if c:
-        p[mono] = c
-    else:
-        p.pop(mono, None)
-
-
-def poly_add(p: SuperPolynomial, q: SuperPolynomial) -> SuperPolynomial:
-    out = dict(p)
-    for m, c in q.items():
-        add_term(out, m, c)
-    return out
-
-
-def poly_scale(p: SuperPolynomial, c) -> SuperPolynomial:
-    c = Fraction(c)
-    if not c:
-        return {}
-    return {m: x * c for m, x in p.items()}
-
-
-def poly_sub(p: SuperPolynomial, q: SuperPolynomial) -> SuperPolynomial:
-    return poly_add(p, poly_scale(q, -1))
 
 
 def poly_mul(p: SuperPolynomial, q: SuperPolynomial) -> SuperPolynomial:
@@ -225,7 +197,7 @@ def laplace_check(w1, w2, places) -> bool:
         pb = tuple(places[i] for i in range(len(places)) if i not in inA)
         sign = unshuffle * (-1 if extra else 1)
         term = poly_mul(biproduct(w1, pa), biproduct(w2, pb))
-        rhs = poly_add(rhs, poly_scale(term, sign))
+        add_into(rhs, term, sign)
     return lhs == rhs
 
 
@@ -245,7 +217,7 @@ def laplace_check_dual(w, places1, places2) -> bool:
         wb = tuple(w[i] for i in B)
         exp = koszul + (len(places1) % 2) * word_degree(wb)
         term = poly_mul(biproduct(wa, places1), biproduct(wb, places2))
-        rhs = poly_add(rhs, poly_scale(term, -1 if exp % 2 else 1))
+        add_into(rhs, term, -1 if exp % 2 else 1)
     return lhs == rhs
 
 

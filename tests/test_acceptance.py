@@ -35,7 +35,6 @@ from glcenter.combinatorics import (
 from glcenter.enveloping import (
     act,
     devirtualize,
-    elem_add_into,
     elem_mul,
     filtration_degree,
     is_central,
@@ -52,6 +51,7 @@ from glcenter.shifted import (
     s_star_determinant,
     s_star_tableau,
 )
+from glcenter.lincomb import add_into as elem_add_into
 from glcenter.superspace import poly_mul
 
 

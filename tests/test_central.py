@@ -19,7 +19,8 @@ from glcenter.central import (
     young_capelli,
 )
 from glcenter.combinatorics import conjugate, hook_number, size
-from glcenter.enveloping import elem_scale, is_central, one
+from glcenter.enveloping import is_central, one
+from glcenter.lincomb import scale as elem_scale
 
 
 def test_capelli_bitableau_fixtures():

@@ -190,19 +190,6 @@ def test_out_file(tmp_path, capsys):
     assert element_from_json_obj(json.loads(text)) == {((1, 1),): 1, ((2, 2),): 1}
 
 
-def test_threads_env(monkeypatch, capsys):
-    argv = ("verify", "--suite", "schur", "--max-size", "2", "--max-n", "2")
-    _, baseline, _ = run(capsys, *argv)
-    monkeypatch.setenv("GLCENTER_THREADS", "4")
-    rc, threaded, _ = run(capsys, *argv)
-    assert rc == 0
-    assert threaded == baseline
-    monkeypatch.setenv("GLCENTER_THREADS", "abc")
-    rc, _, err = run(capsys, *argv)
-    assert rc == 2
-    assert "error" in err.lower()
-
-
 def test_out_unwritable_path_is_usage_error(tmp_path, capsys):
     target = tmp_path / "missing" / "x"
     rc, out, err = run(capsys, "element", "--spec", "H:1@n=2", "--out", str(target))

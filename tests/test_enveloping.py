@@ -10,9 +10,7 @@ from glcenter.enveloping import (
     act,
     adjoint,
     devirtualize,
-    elem_add_into,
     elem_mul,
-    elem_scale,
     element_from_json_obj,
     element_to_json_obj,
     filtration_degree,
@@ -26,6 +24,7 @@ from glcenter.enveloping import (
     random_balanced_word,
     supercommutator,
 )
+from glcenter.lincomb import add_into as elem_add_into, scale as elem_scale
 from glcenter.superspace import alpha, beta, const, is_proper, poly_mul
 
 
@@ -222,6 +221,8 @@ def test_format_element():
     x = {((1, 1), (2, 2)): Fraction(1), ((2, 1), (1, 2)): Fraction(-1), ((2, 2),): Fraction(1)}
     assert format_element(x) == "e[2,2] + e[1,1]*e[2,2] - e[2,1]*e[1,2]"
     assert format_element(elem_scale(e(1, 1), Fraction(1, 2))) == "1/2*e[1,1]"
+    assert format_element({((1, 2),): -1, ((2, 1),): 2}) == "-e[1,2] + 2*e[2,1]"
+    assert format_element({(): -3, ((1, 1),): 1}) == "-3 + e[1,1]"
 
 
 def test_element_json_round_trip():

@@ -1,5 +1,5 @@
 """Byte-identical CLI output on the cheap fixed specs of the benchmark and
-on the Harish-Chandra verify suite.
+on the hc, core and duality verify suites.
 
 Each spec's stdout is hashed and compared with the SHA-256 recorded in
 perfbench/refs.json (read only). The hashes do not depend on
@@ -32,9 +32,11 @@ def test_golden_output(capsys, verb, spec):
     assert hashlib.sha256(out.encode()).hexdigest() == REFS[f"{verb} {spec}"]
 
 
-def test_verify_hc_output(capsys):
-    # hc-s* compares harish_chandra(S), s_star and s_star_determinant
-    argv = ["verify", "--suite", "hc", "--max-n", "4", "--max-size", "4", "--seed", "0"]
+# hc-s* compares harish_chandra(S), s_star and s_star_determinant; core runs
+# the two routes of H_k and I_k, and duality builds duality_W bodies.
+@pytest.mark.parametrize("suite", ["hc", "core", "duality"])
+def test_verify_output(capsys, suite):
+    argv = ["verify", "--suite", suite, "--max-n", "4", "--max-size", "4", "--seed", "0"]
     assert main(argv) == 0
     out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == REFS["verify hc"]
+    assert hashlib.sha256(out.encode()).hexdigest() == REFS[f"verify {suite}"]

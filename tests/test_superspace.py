@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from glcenter.combinatorics import conjugate, enumerate_standard_proper, permutation_sign
+from glcenter.lincomb import add as poly_add, scale as poly_scale, sub as poly_sub
 from glcenter.superspace import (
     alpha,
     beta,
@@ -15,11 +16,8 @@ from glcenter.superspace import (
     highest_weight_vector,
     laplace_check,
     laplace_check_dual,
-    poly_add,
     poly_from_json,
     poly_mul,
-    poly_scale,
-    poly_sub,
     poly_to_json,
     schur_module_dimension,
     span_dimension,
