@@ -2,9 +2,12 @@
 
 Constructions route through virtual symbols: a Capelli bitableau [S|T] is the
 devirtualized image of e_{S,C*} e_{C*,T}, where the Coderuyts tableau C* has
-one positive virtual symbol per row; Young-Capelli bitableaux insert a
-virtual-Deruyts exchange block (column symmetrization), and double
-Young-Capelli bitableaux insert two (adding a signed row symmetrization).
+one positive virtual symbol per row. A Young-Capelli bitableau [S|box T] is
+built as its expansion, the column symmetrization of Capelli words, and a
+double Young-Capelli bitableau [box S|T] as the signed row symmetrization of
+Young-Capelli expansions; each constructor devirtualizes one combination of
+words. The paper's direct virtual words, with the virtual-Deruyts exchange
+blocks e_{C*,D*} and e_{D*,C*}, are the reference the tests compare against.
 Schur elements are normalized sums of double Young-Capelli bitableaux [box S|S]
 and specialize to the determinantal generators H_k(n) (column shapes) and the
 permanental generators I_k(n) (row shapes).
@@ -55,14 +58,17 @@ class CentralElement:
     provenance: str
 
 
-def _check_tableau(t) -> Tableau:
-    t = tuple(tuple(r) for r in t)
-    for row in t:
+def _check_bitableau(S, T) -> tuple:
+    """S and T as tuples of rows, after checking that both are tableaux of
+    proper letters and that their shapes are equal."""
+    S, T = tuple(map(tuple, S)), tuple(map(tuple, T))
+    for row in S + T:
         for x in row:
             if not (is_proper(x) and x >= 1):
                 raise ValueError(f"tableau entries must be proper letters, got {x!r}")
-    shape_of(t)
-    return t
+    if shape_of(S) != shape_of(T):
+        raise ValueError("bitableau needs equal shapes")
+    return S, T
 
 
 def _left_block(S: Tableau, pool: int) -> tuple:
@@ -75,36 +81,9 @@ def _right_block(T: Tableau, pool: int) -> tuple:
     return tuple((alpha(r + 1 + pool), x) for r, row in enumerate(T) for x in row)
 
 
-def _block_CD(shape: Partition, pool: int) -> tuple:
-    """e_{C*,D*}: the virtual Deruyts tableau has row r = beta_1..beta_{shape_r}."""
-    return tuple(
-        (alpha(r + 1 + pool), beta(c + 1 + pool))
-        for r, length in enumerate(shape)
-        for c in range(length)
-    )
-
-
-def _block_DC(shape: Partition, pool: int) -> tuple:
-    """e_{D*,C*}."""
-    return tuple(
-        (beta(c + 1 + pool), alpha(r + 1 + pool))
-        for r, length in enumerate(shape)
-        for c in range(length)
-    )
-
-
-def _block_DT(T: Tableau, pool: int) -> tuple:
-    """e_{D*,T}."""
-    return tuple(
-        (beta(c + 1 + pool), x) for row in T for c, x in enumerate(row)
-    )
-
-
 def capelli_bitableau(S, T, pool: int = 0) -> EnvelopingElement:
     """[S|T]: image of e_{S,C*} e_{C*,T}; central only in aggregate sums."""
-    S, T = _check_tableau(S), _check_tableau(T)
-    if shape_of(S) != shape_of(T):
-        raise ValueError("bitableau needs equal shapes")
+    S, T = _check_bitableau(S, T)
     word = _left_block(S, pool) + _right_block(T, pool)
     return devirtualize({word: 1})
 
@@ -173,49 +152,23 @@ def _yc_expansion(S: Tableau, T: Tableau, pool: int) -> EnvelopingElement:
 
 
 def young_capelli(S, T, pool: int = 0) -> EnvelopingElement:
-    """[S|box T]: column symmetrization of [S|T]; the direct virtual image and
-    the expansion into Capelli bitableaux are both computed and compared."""
-    S, T = _check_tableau(S), _check_tableau(T)
-    shape = shape_of(S)
-    if shape != shape_of(T):
-        raise ValueError("bitableau needs equal shapes")
-    word = _left_block(S, pool) + _block_CD(shape, pool) + _block_DT(T, pool)
-    direct = devirtualize({word: 1})
-    expansion = devirtualize(_yc_expansion(S, T, pool))
-    if direct != expansion:
-        raise AssertionError("Young-Capelli paths disagree")
-    return direct
+    """[S|box T]: column symmetrization of [S|T], the sum of the Capelli
+    bitableaux [S|T'] over the column permutations T' of T."""
+    S, T = _check_bitableau(S, T)
+    return devirtualize(_yc_expansion(S, T, pool))
 
 
-def _dyc_expansion_body(S: Tableau, T: Tableau, pool: int) -> EnvelopingElement:
-    """[box S|T] via the signed row symmetrization of Young-Capelli sums."""
+def double_young_capelli(S, T, pool: int = 0) -> EnvelopingElement:
+    """[box S|T]: signed row symmetrization of Young-Capelli bitableaux, the
+    sum of sign(pi) [S|box T'] over the row permutations T' = pi(T), times
+    (-1)^(h(h-1)/2) for h = |shape|."""
+    S, T = _check_bitableau(S, T)
     h = size(shape_of(S))
     global_sign = -1 if (h * (h - 1) // 2) % 2 else 1
     acc: EnvelopingElement = {}
     for sign, Ts in _row_permuted(T):
         add_into(acc, _yc_expansion(S, Ts, pool), global_sign * sign)
     return devirtualize(acc)
-
-
-def double_young_capelli(S, T, pool: int = 0) -> EnvelopingElement:
-    """[box S|T]: adds the exchange block e_{D*,C*}; the direct virtual image
-    and the signed row symmetrization of Young-Capelli bitableaux are both
-    computed and compared."""
-    S, T = _check_tableau(S), _check_tableau(T)
-    shape = shape_of(S)
-    if shape != shape_of(T):
-        raise ValueError("bitableau needs equal shapes")
-    word = (
-        _left_block(S, pool)
-        + _block_CD(shape, pool)
-        + _block_DC(shape, pool)
-        + _right_block(T, pool)
-    )
-    direct = devirtualize({word: 1})
-    expansion = _dyc_expansion_body(S, T, pool)
-    if direct != expansion:
-        raise AssertionError("double Young-Capelli paths disagree")
-    return direct
 
 
 def schur_element(lam: Partition, n: int, pool: int = 0) -> CentralElement:
@@ -227,10 +180,8 @@ def schur_element(lam: Partition, n: int, pool: int = 0) -> CentralElement:
         raise ValueError(f"schur element needs at most n rows in the conjugate, got {lam_t[0]} > {n}")
     body: EnvelopingElement = {}
     for S in enumerate_row_increasing(lam_t, n):
-        add_into(body, _dyc_expansion_body(S, S, pool))
+        add_into(body, double_young_capelli(S, S, pool))
     body = scale(body, Fraction(1, hook_number(lam_t)))
-    if not lam:
-        body = one()
     return CentralElement(body, n, f"S:{format_partition(lam)}@n={n}")
 
 
@@ -327,9 +278,9 @@ def nazarov_umeda_I_cper(k: int, n: int) -> CentralElement:
 
 
 def capelli_immanant(mu: Partition, left, right, pool: int = 0) -> EnvelopingElement:
-    """Cimm_mu[left;right]: character-weighted sum of column Capelli
-    bitableaux; permuting the left word and permuting the right word give the
-    same element, and both forms are computed and compared."""
+    """Cimm_mu[left;right]: character-weighted sum over permutations pi of the
+    column Capelli bitableaux [pi(left)|right]. Permuting the right word
+    instead gives the same element; the tests check that."""
     mu = check_partition(mu)
     left, right = tuple(left), tuple(right)
     h = len(left)
@@ -338,25 +289,14 @@ def capelli_immanant(mu: Partition, left, right, pool: int = 0) -> EnvelopingEle
     for x in left + right:
         if not (is_proper(x) and x >= 1):
             raise ValueError(f"immanant words use proper letters, got {x!r}")
-    form_a: EnvelopingElement = {}
-    form_b: EnvelopingElement = {}
+    words: EnvelopingElement = {}
+    right_block = tuple((alpha(r + 1 + pool), right[r]) for r in range(h))
     for perm in permutations(range(h)):
         chi = sym_character(mu, permutation_cycle_type(perm))
-        if not chi:
-            continue
-        word_a = tuple(
-            (left[perm[r]], alpha(r + 1 + pool)) for r in range(h)
-        ) + tuple((alpha(r + 1 + pool), right[r]) for r in range(h))
-        word_b = tuple((left[r], alpha(r + 1 + pool)) for r in range(h)) + tuple(
-            (alpha(r + 1 + pool), right[perm[r]]) for r in range(h)
-        )
-        add_term(form_a, word_a, chi)
-        add_term(form_b, word_b, chi)
-    result_a = devirtualize(form_a)
-    result_b = devirtualize(form_b)
-    if result_a != result_b:
-        raise AssertionError("Capelli immanant forms disagree")
-    return result_a
+        if chi:
+            left_block = tuple((left[perm[r]], alpha(r + 1 + pool)) for r in range(h))
+            add_term(words, left_block + right_block, chi)
+    return devirtualize(words)
 
 
 def eigenvalue(x: CentralElement, mu: Partition) -> Fraction:

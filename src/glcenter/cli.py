@@ -135,26 +135,37 @@ def _spec_of(args) -> str:
     raise UsageError("give --spec, or --lambda/--k together with --n")
 
 
-def cmd_element(args) -> int:
-    x = build_element(_spec_of(args))
+def _emit_element(x: central.CentralElement, args) -> None:
     if args.format == "json":
         _emit(element_to_json(x), args.out)
     else:
         _emit(enveloping.format_element(x.body), args.out)
+
+
+def _emit_shifted(p: shifted.ShiftedPolynomial, args) -> None:
+    if args.format == "json":
+        _emit(shifted.shifted_to_json(p), args.out)
+    else:
+        _emit(shifted.format_shifted(p), args.out)
+
+
+def cmd_element(args) -> int:
+    _emit_element(build_element(_spec_of(args)), args)
     return 0
 
 
 def cmd_eigen(args) -> int:
     spec = _spec_of(args)
-    x = build_element(spec)
+    _, _, n = parse_element_spec(spec)
     if args.mu is None:
         raise UsageError("eigen needs --mu")
     try:
         mu = parse_partition(args.mu)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    if len(mu) > x.n:
-        raise UsageError(f"--mu needs at most n={x.n} rows, got {len(mu)}")
+    if len(mu) > n:
+        raise UsageError(f"--mu needs at most n={n} rows, got {len(mu)}")
+    x = build_element(spec)
     try:
         value = central.eigenvalue(x, mu)
     except ValueError as exc:
@@ -172,50 +183,27 @@ def cmd_eigen(args) -> int:
     return 0
 
 
-def _build_central(args) -> central.CentralElement:
-    """The element of the spec, for a map that is defined only on the center."""
+# The maps defined only on the center, with the emitter of their result. Each
+# map is looked up in its module at call time, so a rebinding of the module
+# attribute (as the benchmark's tracer does) reaches the call.
+_CENTER_MAPS = {
+    "hc": (lambda x: shifted.harish_chandra(x), _emit_shifted),
+    "dual": (lambda x: central.duality_W(x), _emit_element),
+    "project": (lambda x: central.olshanski_project(x), _emit_element),
+}
+
+
+def cmd_center_map(args) -> int:
+    """Apply the verb's map to the element of the spec, which must be central."""
+    apply, emit = _CENTER_MAPS[args.verb]
     x = build_element(_spec_of(args))
     if not enveloping.is_central(x.body, x.n):
         raise VerificationFailure("input is not central")
-    return x
-
-
-def cmd_hc(args) -> int:
-    x = _build_central(args)
     try:
-        img = shifted.harish_chandra(x)
+        y = apply(x)
     except ValueError as exc:
         raise VerificationFailure(str(exc)) from None
-    if args.format == "json":
-        _emit(shifted.shifted_to_json(img), args.out)
-    else:
-        _emit(shifted.format_shifted(img), args.out)
-    return 0
-
-
-def cmd_dual(args) -> int:
-    x = _build_central(args)
-    try:
-        y = central.duality_W(x)
-    except ValueError as exc:
-        raise VerificationFailure(str(exc)) from None
-    if args.format == "json":
-        _emit(element_to_json(y), args.out)
-    else:
-        _emit(enveloping.format_element(y.body), args.out)
-    return 0
-
-
-def cmd_project(args) -> int:
-    x = _build_central(args)
-    try:
-        y = central.olshanski_project(x)
-    except ValueError as exc:
-        raise VerificationFailure(str(exc)) from None
-    if args.format == "json":
-        _emit(element_to_json(y), args.out)
-    else:
-        _emit(enveloping.format_element(y.body), args.out)
+    emit(y, args)
     return 0
 
 
@@ -574,9 +562,9 @@ def _build_parser() -> argparse.ArgumentParser:
 _DISPATCH = {
     "element": cmd_element,
     "eigen": cmd_eigen,
-    "hc": cmd_hc,
-    "dual": cmd_dual,
-    "project": cmd_project,
+    "hc": cmd_center_map,
+    "dual": cmd_center_map,
+    "project": cmd_center_map,
     "verify": cmd_verify,
 }
 

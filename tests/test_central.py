@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
@@ -18,9 +20,96 @@ from glcenter.central import (
     schur_element,
     young_capelli,
 )
-from glcenter.combinatorics import conjugate, hook_number, size
-from glcenter.enveloping import is_central, one
-from glcenter.lincomb import scale as elem_scale
+from glcenter.combinatorics import (
+    conjugate,
+    hook_number,
+    partitions_of,
+    partitions_upto,
+    permutation_cycle_type,
+    shape_of,
+    size,
+    sym_character,
+)
+from glcenter.enveloping import act, devirtualize, is_central, one
+from glcenter.lincomb import add_term, scale as elem_scale
+from glcenter.superspace import alpha, beta, poly_mul
+
+
+# The paper's direct virtual words. With the Coderuyts tableau C* (one
+# positive symbol per row) and the virtual Deruyts tableau D* (row r is
+# beta_1..beta_{shape_r}), [S|box T] is the image of e_{S,C*} e_{C*,D*}
+# e_{D*,T} and [box S|T] that of e_{S,C*} e_{C*,D*} e_{D*,C*} e_{C*,T}. The
+# constructors build the expansions instead; these words are their reference.
+
+
+def _block_SC(S, pool):
+    return tuple((x, alpha(r + 1 + pool)) for r, row in enumerate(S) for x in row)
+
+
+def _block_CT(T, pool):
+    return tuple((alpha(r + 1 + pool), x) for r, row in enumerate(T) for x in row)
+
+
+def _block_CD(shape, pool):
+    return tuple(
+        (alpha(r + 1 + pool), beta(c + 1 + pool))
+        for r, length in enumerate(shape)
+        for c in range(length)
+    )
+
+
+def _block_DC(shape, pool):
+    return tuple(
+        (beta(c + 1 + pool), alpha(r + 1 + pool))
+        for r, length in enumerate(shape)
+        for c in range(length)
+    )
+
+
+def _block_DT(T, pool):
+    return tuple((beta(c + 1 + pool), x) for row in T for c, x in enumerate(row))
+
+
+def _yc_word(S, T, pool=0):
+    return _block_SC(S, pool) + _block_CD(shape_of(S), pool) + _block_DT(T, pool)
+
+
+def _dyc_word(S, T, pool=0):
+    shape = shape_of(S)
+    return (
+        _block_SC(S, pool) + _block_CD(shape, pool) + _block_DC(shape, pool) + _block_CT(T, pool)
+    )
+
+
+def _immanant_right_form(mu, left, right, pool=0):
+    """Cimm_mu[left;right] with the right word permuted instead of the left."""
+    words = {}
+    left_block = _block_SC([[x] for x in left], pool)
+    for perm in permutations(range(len(left))):
+        chi = sym_character(mu, permutation_cycle_type(perm))
+        add_term(words, left_block + _block_CT([[right[i]] for i in perm], pool), chi)
+    return words
+
+
+def _filling(rng, shape):
+    """Rows of distinct letters from 1..3."""
+    return tuple(tuple(rng.sample((1, 2, 3), length)) for length in shape)
+
+
+def _content_probe(rng, letters, places):
+    """Seeded integer combination of every monomial whose letters are exactly
+    the multiset letters, over places 1..places. Of the polynomials of this
+    degree, a word that polarizes away each of these letters once can be
+    nonzero only on these monomials."""
+    letters = sorted(letters)
+    probe = {}
+    for js in product(range(1, places + 1), repeat=len(letters)):
+        mono = {(): 1}
+        for x, j in zip(letters, js):
+            mono = poly_mul(mono, {((x, j),): 1})
+        for m, c in mono.items():
+            add_term(probe, m, c * rng.randint(1, 9))
+    return probe
 
 
 def test_capelli_bitableau_fixtures():
@@ -56,16 +145,37 @@ def test_pool_independence():
     )
 
 
-def test_young_capelli_internal_routes_agree():
-    # construction compares the direct virtual image against the expansion
-    # into column-permuted Capelli bitableaux and raises on mismatch
-    for s, t in [
+def test_young_capelli_routes_agree():
+    # the constructors build the expansions; the direct virtual word must
+    # devirtualize to the same element, for every shape of size at most 3
+    rng = random.Random(0)
+    cases = [
         (((1, 2),), ((1, 2),)),
         (((1, 2), (2,)), ((1, 2), (1,))),
         (((1,), (2,)), ((2,), (1,))),
-    ]:
-        young_capelli(s, t)
-        double_young_capelli(s, t)
+    ]
+    for lam in partitions_upto(3, include_empty=False):
+        cases += [(_filling(rng, lam), _filling(rng, lam)) for _ in range(3)]
+    for s, t in cases:
+        assert young_capelli(s, t, pool=5) == devirtualize({_yc_word(s, t, 5): 1})
+        assert double_young_capelli(s, t, pool=5) == devirtualize({_dyc_word(s, t, 5): 1})
+    for lam in [(2, 2), (3, 1)]:
+        for _ in range(3):
+            s, t = _filling(rng, lam), _filling(rng, lam)
+            assert young_capelli(s, t, pool=5) == devirtualize({_yc_word(s, t, 5): 1})
+
+
+def test_young_capelli_action_matches_virtual_word():
+    # at sizes where devirtualizing the direct word is too costly, the image
+    # and the word must act alike on a probe of degree |lam|
+    for lam in [(3, 2), (2, 2, 1)]:
+        rng = random.Random(f"action {lam}")
+        for build, word in [(young_capelli, _yc_word), (double_young_capelli, _dyc_word)]:
+            s, t = _filling(rng, lam), _filling(rng, lam)
+            probe = _content_probe(rng, [x for row in t for x in row], 3)
+            image = act(build(s, t), probe)
+            assert image
+            assert image == act({word(s, t): 1}, probe)
 
 
 def test_capelli_H_closed_form():
@@ -119,9 +229,26 @@ def test_constructor_argument_errors():
 
 def test_capelli_immanant_fixtures():
     assert capelli_immanant((1,), (1,), (2,)) == {((1, 2),): Fraction(1)}
-    # both permuted forms are computed and compared internally
-    capelli_immanant((2, 1), (1, 2, 3), (1, 2, 3))
-    capelli_immanant((1, 1), (1, 2), (2, 1))
+    # permuting the right word instead of the left gives the same element
+    rng = random.Random(0)
+    for h in (2, 3):
+        words = [(tup, tup) for tup in combinations_with_replacement(range(1, 4), h)]
+        words += [(tuple(rng.sample((1, 2, 3), h)), tuple(rng.sample((1, 2, 3), h))) for _ in range(3)]
+        for mu in partitions_of(h):
+            for left, right in words:
+                assert capelli_immanant(mu, left, right, pool=5) == devirtualize(
+                    _immanant_right_form(mu, left, right, 5)
+                )
+
+
+def test_capelli_immanant_action_matches_right_form():
+    rng = random.Random(4)
+    for mu in partitions_of(4):
+        left, right = tuple(rng.sample((1, 2, 3, 4), 4)), tuple(rng.sample((1, 2, 3, 4), 4))
+        probe = _content_probe(rng, right, 4)
+        image = act(capelli_immanant(mu, left, right), probe)
+        assert image
+        assert image == act(_immanant_right_form(mu, left, right), probe)
 
 
 def test_named_elements_are_central():

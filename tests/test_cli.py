@@ -1,7 +1,11 @@
 import json
 
+import pytest
+
+from glcenter import central
 from glcenter.central import nazarov_umeda_I, schur_element
 from glcenter.cli import main
+from glcenter.combinatorics import parse_partition
 from glcenter.enveloping import element_from_json_obj
 from glcenter.shifted import e_star, shifted_from_json
 
@@ -110,6 +114,23 @@ def test_usage_errors(capsys):
         assert rc == 2, argv
         if err:
             assert "error" in err.lower()
+
+
+def test_eigen_checks_mu_before_building(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built the element before checking --mu")
+
+    monkeypatch.setattr(central, "schur_element", refuse)
+    with pytest.raises(ValueError) as bad_mu:
+        parse_partition("2,x")
+    for extra, message in [
+        ((), "eigen needs --mu"),
+        (("--mu", "2,x"), str(bad_mu.value)),
+        (("--mu", "1,1,1,1,1"), "--mu needs at most n=4 rows, got 5"),
+    ]:
+        for element in (("--spec", "S:3,2@n=4"), ("--lambda", "3,2", "--n", "4")):
+            rc, out, err = run(capsys, "eigen", *element, *extra)
+            assert (rc, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_verification_failures(capsys):
