@@ -15,10 +15,11 @@ permanental generators I_k(n) (row shapes).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
-from math import factorial
+from math import factorial, prod
 
 from .combinatorics import (
     Partition,
@@ -112,42 +113,26 @@ def _row_permuted(T: Tableau):
         )
 
 
-def _sorted_odd_block(factors: tuple):
-    """Sort pairwise-anticommuting odd generators by key; None when a factor
-    repeats (an odd element squares to zero)."""
+def _sorted_odd(factors: tuple):
+    """(sign, factors sorted by key) for pairwise-anticommuting odd
+    generators; None when a factor repeats (an odd element squares to zero)."""
     keys = [gen_key(g) for g in factors]
-    inv = 0
-    for i in range(len(factors)):
-        for j in range(i + 1, len(factors)):
-            if keys[i] > keys[j]:
-                inv += 1
-            elif keys[i] == keys[j]:
-                return None
-    order = sorted(range(len(factors)), key=lambda t: keys[t])
-    return (-1 if inv % 2 else 1), tuple(factors[t] for t in order)
-
-
-def _capelli_word_canonical(S: Tableau, T: Tableau, pool: int):
-    """Canonical form (sign, word) of the virtual word of [S|T], or None when
-    it vanishes; the two blocks sort independently."""
-    left = _sorted_odd_block(_left_block(S, pool))
-    if left is None:
+    if len(set(keys)) < len(keys):
         return None
-    right = _sorted_odd_block(_right_block(T, pool))
-    if right is None:
-        return None
-    return left[0] * right[0], left[1] + right[1]
+    return permutation_sign(keys), tuple(g for _, g in sorted(zip(keys, factors)))
 
 
 def _yc_expansion(S: Tableau, T: Tableau, pool: int) -> EnvelopingElement:
-    """Column-symmetrized sum of Capelli words, not yet devirtualized."""
+    """Column-symmetrized sum of Capelli words, not yet devirtualized; the
+    blocks e_{S,C*} and e_{C*,T'} of each word sort independently."""
     acc: EnvelopingElement = {}
+    left = _sorted_odd(_left_block(S, pool))
+    if left is None:
+        return acc
     for Tbar in _column_permuted(T):
-        res = _capelli_word_canonical(S, Tbar, pool)
-        if res is None:
-            continue
-        sign, word = res
-        add_term(acc, word, sign)
+        right = _sorted_odd(_right_block(Tbar, pool))
+        if right is not None:
+            add_term(acc, left[1] + right[1], left[0] * right[0])
     return acc
 
 
@@ -229,32 +214,22 @@ def _matrix_entry(i: int, j: int, shift: int) -> EnvelopingElement:
     return out
 
 
-def _compositions(k: int, n: int):
-    """All n-tuples of nonnegative integers summing to k."""
-    if n == 1:
-        yield (k,)
-        return
-    for first in range(k + 1):
-        for rest in _compositions(k - first, n - 1):
-            yield (first,) + rest
+def _multiplicity_weight(idx: tuple) -> Fraction:
+    """1/(h_1! ... h_n!), where h_j counts the entries of idx equal to j."""
+    return Fraction(1, prod(map(factorial, Counter(idx).values())))
 
 
 def nazarov_umeda_I(k: int, n: int, pool: int = 0) -> CentralElement:
     """I_k(n): multinomially weighted sum of the symmetric row elements
     [n^{h_n}...1^{h_1}|1^{h_1}...n^{h_n}]* built on one negative virtual
-    symbol."""
+    symbol, one per weakly increasing k-tuple with h_j entries equal to j."""
     if k < 1:
         raise ValueError(f"I_k needs k >= 1, got k={k}")
     b = beta(1 + pool)
     words: EnvelopingElement = {}
-    for hs in _compositions(k, n):
-        word = tuple(
-            (j, b) for j in range(n, 0, -1) for _ in range(hs[j - 1])
-        ) + tuple((b, j) for j in range(1, n + 1) for _ in range(hs[j - 1]))
-        coeff = Fraction(1)
-        for hj in hs:
-            coeff /= factorial(hj)
-        words[word] = coeff
+    for idx in combinations_with_replacement(range(1, n + 1), k):
+        word = tuple((j, b) for j in reversed(idx)) + tuple((b, j) for j in idx)
+        words[word] = _multiplicity_weight(idx)
     return CentralElement(devirtualize(words), n, f"I:{k}@n={n}")
 
 
@@ -265,9 +240,7 @@ def nazarov_umeda_I_cper(k: int, n: int) -> CentralElement:
         raise ValueError(f"I_k needs k >= 1, got k={k}")
     body: EnvelopingElement = {}
     for idx in combinations_with_replacement(range(1, n + 1), k):
-        coeff = Fraction(1)
-        for j in range(1, n + 1):
-            coeff /= factorial(sum(1 for i in idx if i == j))
+        coeff = _multiplicity_weight(idx)
         _add_column_expansion(
             body,
             idx,

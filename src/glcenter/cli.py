@@ -122,6 +122,10 @@ def _emit(text: str, out_path) -> None:
 
 
 def _spec_of(args) -> str:
+    flags = {"--spec": args.spec, "--lambda": args.lam, "--k": args.k}
+    given = [flag for flag, value in flags.items() if value is not None]
+    if len(given) > 1:
+        raise UsageError(f"give only one of --spec, --lambda, --k; got {', '.join(given)}")
     if args.spec:
         return args.spec
     if args.lam is not None:
@@ -469,6 +473,8 @@ def cmd_verify(args) -> int:
         raise UsageError(f"unknown suite {args.suite!r}; pick from {', '.join(_SUITES)}")
     if args.max_size < 1 or args.max_n < 1:
         raise UsageError("--max-size and --max-n must be at least 1")
+    if args.d < 1:
+        raise UsageError(f"--d must be at least 1, got {args.d}")
     names = [args.suite] if args.suite else list(_SUITES)
     lines = []
     summary_checks = []

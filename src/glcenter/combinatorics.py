@@ -14,6 +14,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import lru_cache
 from math import factorial
 from typing import Iterable, NamedTuple
@@ -120,16 +121,21 @@ def shape_of(t: Tableau) -> Partition:
     return tuple(len(row) for row in t)
 
 
+def _fillings(shape: Partition, rows, below) -> list[Tableau]:
+    """Sorted list of the tableaux of the given shape whose rows of length m
+    are the tuples of rows(m) and whose vertically adjacent cells a over b
+    satisfy below(a, b)."""
+    out: list[Tableau] = [()]
+    for length in shape:
+        choices = list(rows(length))
+        out = [t + (row,) for t in out for row in choices if not t or all(map(below, t[-1], row))]
+    return sorted(out)
+
+
 def enumerate_row_increasing(shape: Partition, n: int) -> list[Tableau]:
     """All tableaux of the given shape over {1..n} with each row strictly
     increasing; rows are unconstrained against each other."""
-    if any(part > n for part in shape):
-        return []
-    per_row = [
-        [tuple(c) for c in itertools.combinations(range(1, n + 1), part)]
-        for part in shape
-    ]
-    return [tuple(rows) for rows in itertools.product(*per_row)]
+    return _fillings(shape, lambda m: itertools.combinations(range(1, n + 1), m), lambda a, b: True)
 
 
 def _strips(lam: Partition, k: int, orientation: str) -> list[Strip]:
@@ -169,77 +175,14 @@ def strip_factorial(strip: Strip) -> int:
 def enumerate_rssyt(lam: Partition, n: int) -> list[Tableau]:
     """Reverse semistandard tableaux over {1..n}: rows weakly decreasing,
     columns strictly decreasing."""
-    lam = tuple(lam)
-    if not lam:
-        return [()]
-    if len(lam) > n:
-        return []
-
-    rows: list[list[tuple[int, ...]]] = []
-
-    def fill_row(length, max_per_col):
-        # weakly decreasing row, entry at col j at most max_per_col[j]
-        found = []
-
-        def go(j, prev, acc):
-            if j == length:
-                found.append(tuple(acc))
-                return
-            hi = min(prev, max_per_col[j])
-            for v in range(hi, 0, -1):
-                go(j + 1, v, acc + [v])
-
-        go(0, n, [])
-        return found
-
-    out: list[Tableau] = []
-
-    def go_rows(i, above, acc):
-        if i == len(lam):
-            out.append(tuple(acc))
-            return
-        length = lam[i]
-        cap = [above[j] - 1 if j < len(above) else n for j in range(length)]
-        if any(c <= 0 for c in cap):
-            return
-        for row in fill_row(length, cap):
-            go_rows(i + 1, row, acc + [row])
-
-    go_rows(0, (n + 1,) * lam[0], [])
-    out.sort()
-    return out
+    letters = range(n, 0, -1)
+    return _fillings(lam, lambda m: itertools.combinations_with_replacement(letters, m), operator.gt)
 
 
 def enumerate_standard_proper(lam: Partition, n: int) -> list[Tableau]:
     """Tableaux over {1..n} with rows strictly increasing and columns weakly
     increasing; these index the standard basis of the Schur module."""
-    lam = tuple(lam)
-    if not lam:
-        return [()]
-    if lam[0] > n:
-        return []
-
-    out: list[Tableau] = []
-
-    def go_rows(i, above, acc):
-        if i == len(lam):
-            out.append(tuple(acc))
-            return
-        length = lam[i]
-
-        def fill(j, prev, row):
-            if j == length:
-                go_rows(i + 1, tuple(row), acc + [tuple(row)])
-                return
-            lo = max(prev + 1, above[j] if j < len(above) else 1)
-            for v in range(lo, n + 1):
-                fill(j + 1, v, row + [v])
-
-        fill(0, 0, [])
-
-    go_rows(0, (), [])
-    out.sort()
-    return out
+    return _fillings(lam, lambda m: itertools.combinations(range(1, n + 1), m), operator.le)
 
 
 @lru_cache(maxsize=None)
@@ -317,12 +260,11 @@ def format_tableau(t: Tableau) -> str:
 def permutation_sign(perm) -> int:
     """Signature via inversion parity; perm is any sequence of distinct
     comparable values."""
-    inv = sum(
-        1
-        for i in range(len(perm))
-        for j in range(i + 1, len(perm))
-        if perm[i] > perm[j]
-    )
+    inv = 0
+    for i, x in enumerate(perm):
+        for y in perm[i + 1 :]:
+            if x > y:
+                inv += 1
     return -1 if inv % 2 else 1
 
 

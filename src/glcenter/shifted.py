@@ -14,7 +14,7 @@ import json
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import permutations
 
 from .combinatorics import (
     Partition,
@@ -115,25 +115,19 @@ def is_shifted_symmetric(p: ShiftedPolynomial) -> bool:
 
 
 def e_star(k: int, n: int) -> ShiftedPolynomial:
-    """Sum over i_1 < ... < i_k of (x_{i_1}+k-1)(x_{i_2}+k-2)...(x_{i_k})."""
+    """Sum over i_1 < ... < i_k of (x_{i_1}+k-1)(x_{i_2}+k-2)...(x_{i_k}),
+    the shifted Schur polynomial of the column (1^k)."""
     if not 0 <= k <= n:
         raise ValueError(f"e* needs 0 <= k <= n, got k={k}, n={n}")
-    out = sp_zero(n)
-    for idx in combinations(range(1, n + 1), k):
-        factors = (sp_linear(n, i, k - j) for j, i in enumerate(idx, 1))
-        add_into(out.terms, sp_prod(n, factors).terms)
-    return out
+    return s_star((1,) * k, n)
 
 
 def h_star(k: int, n: int) -> ShiftedPolynomial:
-    """Sum over i_1 <= ... <= i_k of (x_{i_1}-k+1)(x_{i_2}-k+2)...(x_{i_k})."""
+    """Sum over i_1 <= ... <= i_k of (x_{i_1}-k+1)(x_{i_2}-k+2)...(x_{i_k}),
+    the shifted Schur polynomial of the row (k)."""
     if k < 0:
         raise ValueError("h* needs k >= 0")
-    out = sp_zero(n)
-    for idx in combinations_with_replacement(range(1, n + 1), k):
-        factors = (sp_linear(n, i, j - k) for j, i in enumerate(idx, 1))
-        add_into(out.terms, sp_prod(n, factors).terms)
-    return out
+    return s_star((k,) if k else (), n)
 
 
 def _falling(n: int, i: int, shift: int, m: int) -> ShiftedPolynomial:
@@ -197,8 +191,10 @@ def s_star_determinant(lam: Partition, n: int) -> ShiftedPolynomial:
     return sp_divide_exact(num, den)
 
 
-def s_star_tableau(lam: Partition, n: int) -> ShiftedPolynomial:
-    """Sum over reverse semistandard tableaux of prod over cells (x_{T(s)} - c(s))."""
+def s_star(lam: Partition, n: int) -> ShiftedPolynomial:
+    """Shifted Schur polynomial: the sum over reverse semistandard tableaux T
+    of the product over cells s of (x_{T(s)} - c(s)). The determinant ratio
+    `s_star_determinant` is its cross-check in `verify` and the tests."""
     lam = check_partition(lam)
     if len(lam) > n:
         raise ValueError("shape needs at most n rows")
@@ -210,13 +206,6 @@ def s_star_tableau(lam: Partition, n: int) -> ShiftedPolynomial:
                 factors.append(sp_linear(n, entry, -(c - r)))
         add_into(out.terms, sp_prod(n, factors).terms)
     return out
-
-
-def s_star(lam: Partition, n: int) -> ShiftedPolynomial:
-    """Shifted Schur polynomial by one route, the tableau formula. The
-    determinant ratio `s_star_determinant` is its cross-check in `verify`
-    and the tests."""
-    return s_star_tableau(lam, n)
 
 
 def harish_chandra(x) -> ShiftedPolynomial:

@@ -21,6 +21,7 @@ import json
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
+from .combinatorics import permutation_sign
 from .lincomb import add_into, add_term
 
 Sym = Union[int, tuple]
@@ -85,12 +86,7 @@ def normalize_vars(seq: Sequence[Var]) -> tuple:
     odds = [var_key(v) for v in seq if var_is_odd(v)]
     if len(set(odds)) != len(odds):
         return None, 0
-    inv = 0
-    for i in range(len(odds)):
-        for j in range(i + 1, len(odds)):
-            if odds[i] > odds[j]:
-                inv += 1
-    return tuple(sorted(seq, key=var_key)), -1 if inv % 2 else 1
+    return tuple(sorted(seq, key=var_key)), permutation_sign(odds)
 
 
 def const(c) -> SuperPolynomial:

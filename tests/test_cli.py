@@ -133,6 +133,28 @@ def test_eigen_checks_mu_before_building(capsys, monkeypatch):
             assert (rc, out, err) == (2, "", f"error: {message}\n")
 
 
+def test_element_flags_are_exclusive(capsys):
+    # each pair would otherwise build one element and silently drop the rest
+    for verb in ("element", "eigen", "hc", "dual", "project"):
+        for flags, named in [
+            (("--spec", "H:2@n=3", "--lambda", "2,1"), "--spec, --lambda"),
+            (("--spec", "H:2@n=3", "--k", "2"), "--spec, --k"),
+            (("--lambda", "2,1", "--k", "2"), "--lambda, --k"),
+            (("--spec", "H:2@n=3", "--lambda", "2,1", "--k", "2"), "--spec, --lambda, --k"),
+        ]:
+            extra = ("--mu", "1") if verb == "eigen" else ()
+            rc, out, err = run(capsys, verb, *flags, "--n", "3", *extra)
+            message = f"error: give only one of --spec, --lambda, --k; got {named}\n"
+            assert (rc, out, err) == (2, "", message), (verb, flags)
+
+
+def test_verify_rejects_d_below_one(capsys):
+    # with no place column the action checks see only the constant monomial
+    for d in ("0", "-1"):
+        rc, out, err = run(capsys, "verify", "--suite", "core", "--d", d)
+        assert (rc, out, err) == (2, "", f"error: --d must be at least 1, got {d}\n")
+
+
 def test_verification_failures(capsys):
     rc, _, err = run(capsys, "eigen", "--spec", "CB:2|1@n=2", "--mu", "1")
     assert rc == 1

@@ -1,3 +1,5 @@
+import itertools
+import operator
 from math import factorial
 
 import pytest
@@ -190,6 +192,31 @@ def test_enumerate_rssyt_counts_match_weyl_dimension():
                         assert t[r][j] > t[r + 1][j]
 
 
+def test_enumerators_match_brute_force_filter():
+    # every filling of the shape by 1..n, kept when it meets the enumerator's
+    # row and column rules; product order is sorted order
+    def brute(lam, n, row_ok, col_ok):
+        out = []
+        for flat in itertools.product(range(1, n + 1), repeat=size(lam)):
+            it = iter(flat)
+            t = tuple(tuple(next(it) for _ in range(part)) for part in lam)
+            if all(row_ok(a, b) for row in t for a, b in zip(row, row[1:])) and all(
+                col_ok(a, b) for upper, lower in zip(t, t[1:]) for a, b in zip(upper, lower)
+            ):
+                out.append(t)
+        return out
+
+    for lam in partitions_upto(5):
+        for n in range(1, 5):
+            assert enumerate_row_increasing(lam, n) == brute(
+                lam, n, operator.lt, lambda a, b: True
+            ), (lam, n)
+            assert enumerate_rssyt(lam, n) == brute(lam, n, operator.ge, operator.gt), (lam, n)
+            assert enumerate_standard_proper(lam, n) == brute(
+                lam, n, operator.lt, operator.le
+            ), (lam, n)
+
+
 def test_strips_known():
     # single row (2): two cells in row 1; a horizontal strip may take both
     strips = enumerate_horizontal_strips((2,), 2)
@@ -218,6 +245,10 @@ def test_permutation_sign():
     assert permutation_sign((1, 0, 2)) == -1
     assert permutation_sign((2, 0, 1)) == 1
     assert permutation_sign("ba") == -1
+    # (-1)^(k - number of cycles), on all of S_5
+    for perm in itertools.permutations(range(5)):
+        cycles = len(permutation_cycle_type(perm))
+        assert permutation_sign(perm) == (-1) ** (5 - cycles), perm
 
 
 def test_permutation_cycle_type():

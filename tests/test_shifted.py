@@ -1,11 +1,12 @@
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
 from glcenter import shifted
 from glcenter.central import CentralElement, capelli_H, nazarov_umeda_I, schur_element
 from glcenter.combinatorics import conjugate, contains, hook_number, partitions_upto, size
-from glcenter.lincomb import add, sub
+from glcenter.lincomb import add, add_into, sub
 from glcenter.shifted import (
     ShiftedPolynomial,
     e_star,
@@ -21,13 +22,13 @@ from glcenter.shifted import (
     pi_star,
     s_star,
     s_star_determinant,
-    s_star_tableau,
     shifted_from_json,
     shifted_to_json,
     sp_const,
     sp_divide_exact,
     sp_linear,
     sp_mul,
+    sp_prod,
     sp_zero,
 )
 
@@ -77,23 +78,58 @@ def test_s_star_presentations_agree():
         for lam in partitions_upto(3):
             if len(lam) > n:
                 continue
-            assert s_star_determinant(lam, n) == s_star_tableau(lam, n)
+            assert s_star_determinant(lam, n) == s_star(lam, n)
     for lam in partitions_upto(4):
-        assert s_star_determinant(lam, 4) == s_star_tableau(lam, 4), lam
+        assert s_star_determinant(lam, 4) == s_star(lam, 4), lam
     # the size of the s_star hot path in the shifted-n5 benchmark
-    assert s_star_determinant((2, 1), 5) == s_star_tableau((2, 1), 5)
+    assert s_star_determinant((2, 1), 5) == s_star((2, 1), 5)
 
 
 def test_s_star_is_the_tableau_route(monkeypatch):
     # the n!-term determinant is a check only, never on the s_star path
+    cases = [(lam, n) for n in range(1, 6) for lam in partitions_upto(4) if len(lam) <= n]
+    # the determinant takes seconds per shape at n = 5, so one shape is compared there
+    expected = {c: s_star_determinant(*c) for c in cases if c[1] < 5 or c[0] == (2, 1)}
+
     def refuse(lam, n):
         raise AssertionError("s_star called the determinant route")
 
     monkeypatch.setattr(shifted, "s_star_determinant", refuse)
-    for n in range(1, 6):
-        for lam in partitions_upto(4):
-            if len(lam) <= n:
-                assert s_star(lam, n) == s_star_tableau(lam, n), (lam, n)
+    for case in cases:
+        p = s_star(*case)
+        if case in expected:
+            assert p == expected[case], case
+
+
+def _estar_by_combinations(k, n):
+    """e*_k by its defining sum over i_1 < ... < i_k, the reference for
+    e_star = s_star of the column (1^k)."""
+    out = sp_zero(n)
+    for idx in combinations(range(1, n + 1), k):
+        factors = (sp_linear(n, i, k - j) for j, i in enumerate(idx, 1))
+        add_into(out.terms, sp_prod(n, factors).terms)
+    return out
+
+
+def _hstar_by_combinations(k, n):
+    """h*_k by its defining sum over i_1 <= ... <= i_k, the reference for
+    h_star = s_star of the row (k)."""
+    out = sp_zero(n)
+    for idx in combinations_with_replacement(range(1, n + 1), k):
+        factors = (sp_linear(n, i, j - k) for j, i in enumerate(idx, 1))
+        add_into(out.terms, sp_prod(n, factors).terms)
+    return out
+
+
+def test_generators_match_their_defining_sums():
+    def typed(p):
+        return {m: (c, type(c)) for m, c in p.terms.items()}
+
+    for n in range(1, 7):
+        for k in range(n + 1):
+            assert typed(e_star(k, n)) == typed(_estar_by_combinations(k, n)), (k, n)
+        for k in range(6):
+            assert typed(h_star(k, n)) == typed(_hstar_by_combinations(k, n)), (k, n)
 
 
 def test_s_star_vanishing_and_normalization():
