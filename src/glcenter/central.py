@@ -38,6 +38,7 @@ from .combinatorics import (
 from .enveloping import (
     EnvelopingElement,
     act,
+    check_letters,
     devirtualize,
     elem_mul,
     gen_key,
@@ -298,6 +299,7 @@ def olshanski_project(x: CentralElement) -> CentralElement:
     n = x.n
     if n < 1:
         raise ValueError("nothing to project")
+    check_letters(x.body, n)
     body: EnvelopingElement = {}
     for word, coeff in x.body.items():
         if any(b == n for _, b in word):
@@ -310,12 +312,13 @@ def olshanski_project(x: CentralElement) -> CentralElement:
 
 def _polynomial_body(coeffs: dict, n: int, generator) -> EnvelopingElement:
     """PBW form of the polynomial coeffs (multisets of k to coefficients) in
-    the elements generator(k, n)."""
+    the elements generator(k, n), each built once."""
+    gens = {k: generator(k, n).body for k in set().union(*coeffs)}
     body: EnvelopingElement = {}
     for key, c in coeffs.items():
         term = one()
         for k in key:
-            term = elem_mul(term, generator(k, n).body)
+            term = elem_mul(term, gens[k])
         add_into(body, term, c)
     return pbw_normal_form(body)
 

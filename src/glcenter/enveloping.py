@@ -237,14 +237,19 @@ def adjoint(g: Gen, x: EnvelopingElement) -> EnvelopingElement:
     return out
 
 
+def check_letters(x: EnvelopingElement, n: int) -> None:
+    """Raise unless every letter of x lies in 1..n, i.e. x is in U(gl(n))."""
+    if not {s for word in x for g in word for s in g} <= set(range(1, n + 1)):
+        raise ValueError(f"input needs to be an element of U(gl({n}))")
+
+
 def is_central(x: EnvelopingElement, n: int) -> bool:
     """Whether x in U(gl(n)) commutes with all of gl(n). The Chevalley
     generators e_{i,i+1} and e_{i+1,i} generate sl(n), and the identity
     matrix is central in U(gl(n)), so commuting with those 2(n-1)
     generators is enough. Raises for a letter outside 1..n, where that
     argument does not hold."""
-    if not {s for word in x for g in word for s in g} <= set(range(1, n + 1)):
-        raise ValueError(f"is_central needs an element of U(gl({n}))")
+    check_letters(x, n)
     for i in range(1, n):
         for g in ((i, i + 1), (i + 1, i)):
             if pbw_normal_form(adjoint(g, x)):

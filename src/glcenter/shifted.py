@@ -23,6 +23,7 @@ from .combinatorics import (
     enumerate_rssyt,
     permutation_sign,
 )
+from .enveloping import check_letters
 from .lincomb import add_into, add_term, format_terms
 
 
@@ -30,13 +31,6 @@ from .lincomb import add_into, add_term, format_terms
 class ShiftedPolynomial:
     n: int
     terms: dict
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ShiftedPolynomial)
-            and self.n == other.n
-            and self.terms == other.terms
-        )
 
 
 def sp_zero(n: int) -> ShiftedPolynomial:
@@ -86,10 +80,6 @@ def sp_eval(p: ShiftedPolynomial, values) -> Fraction:
                 term *= v**e
         total += term
     return total
-
-
-def sp_degree(p: ShiftedPolynomial) -> int:
-    return max((sum(m) for m in p.terms), default=0)
 
 
 def is_shifted_symmetric(p: ShiftedPolynomial) -> bool:
@@ -210,23 +200,22 @@ def s_star(lam: Partition, n: int) -> ShiftedPolynomial:
 
 def harish_chandra(x) -> ShiftedPolynomial:
     """Image of a central element: keep purely-Cartan PBW monomials and send
-    e_{ii} to x_i. Raises when the result is not shifted symmetric."""
+    e_{ii} to x_i. Raises on a letter outside 1..n and when the e*-peel
+    rejects the result as not shifted symmetric."""
     n = x.n
+    check_letters(x.body, n)
     out: dict = {}
     for word, coeff in x.body.items():
-        exps = [0] * n
-        cartan = True
-        for a, b in word:
-            if a == b:
+        if all(a == b for a, b in word):
+            exps = [0] * n
+            for a, _ in word:
                 exps[a - 1] += 1
-            else:
-                cartan = False
-                break
-        if cartan:
             add_term(out, tuple(exps), coeff)
     p = ShiftedPolynomial(n, out)
-    if not is_shifted_symmetric(p):
-        raise ValueError("Harish-Chandra image is not shifted symmetric; input is not central")
+    try:
+        express_in_estar_basis(p)
+    except ValueError:
+        raise ValueError("Harish-Chandra image is not shifted symmetric; input is not central") from None
     return p
 
 
@@ -248,50 +237,43 @@ def pi_star(p: ShiftedPolynomial) -> ShiftedPolynomial:
 def express_in_estar_basis(p: ShiftedPolynomial) -> dict:
     """Unique expression of a shifted symmetric polynomial as a polynomial in
     e*_1 .. e*_n: mapping from multisets (weakly decreasing tuples of k
-    values) to coefficients. Peels the lex-leading term of the top
-    homogeneous part against the matching e*-product."""
+    values) to coefficients. Peels the (degree, lex) leading term against the
+    e*-product it leads, so that term falls strictly at every step. The peel
+    raises exactly when the input is not in Q[e*_1..e*_n], which makes it a
+    complete test of shifted symmetry."""
     n = p.n
     rem = ShiftedPolynomial(n, dict(p.terms))
     coeffs: dict = {}
+    gens: dict = {}
     while rem.terms:
-        deg = sp_degree(rem)
-        if deg == 0:
-            add_term(coeffs, (), rem.terms[(0,) * n])
-            break
-        top = [m for m in rem.terms if sum(m) == deg]
-        mono = max(top)
+        mono = max(rem.terms, key=lambda m: (sum(m), m))
         if any(mono[i] < mono[i + 1] for i in range(n - 1)):
             raise ValueError("input is not shifted symmetric: non-dominant leading term")
         coeff = rem.terms[mono]
         key = conjugate(tuple(e for e in mono if e))
         add_term(coeffs, key, coeff)
-        add_into(rem.terms, estar_monomial(key, n).terms, -coeff)
+        gens.update((k, e_star(k, n)) for k in set(key) - gens.keys())
+        add_into(rem.terms, sp_prod(n, (gens[k] for k in key)).terms, -coeff)
     return coeffs
 
 
-def estar_monomial(key, n: int) -> ShiftedPolynomial:
-    return sp_prod(n, (e_star(k, n) for k in key))
-
-
-def hstar_monomial(key, n: int) -> ShiftedPolynomial:
-    return sp_prod(n, (h_star(k, n) for k in key))
-
-
-def from_estar_coeffs(coeffs: dict, n: int, gen=estar_monomial) -> ShiftedPolynomial:
+def from_estar_coeffs(coeffs: dict, n: int, gen=e_star) -> ShiftedPolynomial:
+    """The polynomial coeffs (as from the peel) in gen(k, n), built once per k."""
+    gens = {k: gen(k, n) for k in set().union(*coeffs)}
     out = sp_zero(n)
     for key, c in coeffs.items():
-        add_into(out.terms, gen(key, n).terms, c)
+        add_into(out.terms, sp_prod(n, (gens[k] for k in key)).terms, c)
     return out
 
 
 def i_star(p: ShiftedPolynomial) -> ShiftedPolynomial:
     """Re-express the generators one variable up: Lambda*(n) -> Lambda*(n+1)."""
-    return from_estar_coeffs(express_in_estar_basis(p), p.n + 1)
+    return from_estar_coeffs(express_in_estar_basis(p), p.n + 1, e_star)
 
 
 def omega(p: ShiftedPolynomial) -> ShiftedPolynomial:
     """Substitute e*_k -> h*_k in the e*-basis expression."""
-    return from_estar_coeffs(express_in_estar_basis(p), p.n, gen=hstar_monomial)
+    return from_estar_coeffs(express_in_estar_basis(p), p.n, h_star)
 
 
 def format_shifted(p: ShiftedPolynomial) -> str:

@@ -32,6 +32,7 @@ from glcenter.combinatorics import (
 )
 from glcenter.enveloping import act, devirtualize, is_central, one
 from glcenter.lincomb import add_term, scale as elem_scale
+from glcenter.shifted import harish_chandra
 from glcenter.superspace import alpha, beta, poly_mul
 
 
@@ -283,6 +284,20 @@ def test_olshanski_projection():
     assert proj.n == 2
     with pytest.raises(ValueError):
         olshanski_project(CentralElement({((3, 1),): Fraction(1)}, 3, "user"))
+
+
+def test_center_maps_reject_letters_outside_n():
+    # e11 + e22 + e33 is central in U(gl(3)) but not an element of U(gl(2)):
+    # unchecked, olshanski_project would return e11 + e33 at n = 1, and
+    # harish_chandra would read the letter 0 as the last variable
+    bodies = [{((1, 1),): 1, ((2, 2),): 1, ((3, 3),): 1}, {((0, 0),): 1}]
+    for body in bodies:
+        x = CentralElement(body, 2, "user")
+        for f in (harish_chandra, duality_W, embed, olshanski_project):
+            with pytest.raises(ValueError, match=r"element of U\(gl\(2\)\)"):
+                f(x)
+        with pytest.raises(ValueError, match=r"element of U\(gl\(2\)\)"):
+            is_central(body, 2)
 
 
 def test_embedding_section():

@@ -1,12 +1,22 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from glcenter import shifted
-from glcenter.central import CentralElement, capelli_H, nazarov_umeda_I, schur_element
+from glcenter import central, shifted
+from glcenter.central import (
+    CentralElement,
+    capelli_H,
+    duality_W,
+    embed,
+    nazarov_umeda_I,
+    schur_element,
+)
 from glcenter.combinatorics import conjugate, contains, hook_number, partitions_upto, size
-from glcenter.lincomb import add, add_into, sub
+from glcenter.enveloping import elem_mul, pbw_normal_form
+from glcenter.lincomb import add, add_into, add_term, sub
 from glcenter.shifted import (
     ShiftedPolynomial,
     e_star,
@@ -161,6 +171,73 @@ def test_express_in_estar_basis_rejects_asymmetric():
         express_in_estar_basis(sp_linear(2, 2, 0))
 
 
+@st.composite
+def _estar_combinations(draw):
+    """A random combination of e*-products in n <= 3 variables, plus, half
+    of the time, one random monomial that usually breaks shifted symmetry."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    coeff = st.sampled_from((-3, -2, -1, 1, 2, 3))
+    p = sp_zero(n)
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        key = draw(st.lists(st.integers(min_value=1, max_value=n), max_size=3))
+        add_into(p.terms, sp_prod(n, (e_star(k, n) for k in key)).terms, draw(coeff))
+    if draw(st.booleans()):
+        mono = draw(st.lists(st.integers(min_value=0, max_value=2), min_size=n, max_size=n))
+        add_term(p.terms, tuple(mono), draw(coeff))
+    return p
+
+
+@settings(max_examples=150, deadline=None)
+@given(_estar_combinations())
+def test_peel_succeeds_exactly_on_shifted_symmetric_input(p):
+    # the peel is the check on the hot path; is_shifted_symmetric is the
+    # definitional oracle
+    try:
+        coeffs = express_in_estar_basis(p)
+    except ValueError:
+        coeffs = None
+    assert (coeffs is not None) == is_shifted_symmetric(p)
+    if coeffs is not None:
+        assert from_estar_coeffs(coeffs, p.n) == p
+
+
+def test_each_generator_is_built_once_per_call(monkeypatch):
+    # the keys (2, 1, 1) and (1, 1) repeat k = 1 within a key and across keys
+    e1, e2 = e_star(1, 3), e_star(2, 3)
+    p = sp_prod(3, (e2, e1, e1))
+    add_into(p.terms, sp_mul(e1, e1).terms)
+    h1, h2 = capelli_H(1, 2).body, capelli_H(2, 2).body
+    body = elem_mul(h1, h1)
+    add_into(body, elem_mul(h2, h1))
+    x = CentralElement(pbw_normal_form(body), 2, "H1^2+H2*H1")
+    built = Counter()
+    for module, name in [
+        (shifted, "e_star"),
+        (shifted, "h_star"),
+        (central, "capelli_H"),
+        (central, "nazarov_umeda_I"),
+    ]:
+        def counted(k, n, *args, _name=name, _original=getattr(module, name)):
+            built[_name, k, n] += 1
+            return _original(k, n, *args)
+
+        monkeypatch.setattr(module, name, counted)
+    # embed and duality_W peel twice (in harish_chandra and after it), so
+    # they are checked on the generators they substitute
+    for f, arg, names in [
+        (express_in_estar_basis, p, {"e_star"}),
+        (omega, p, {"e_star", "h_star"}),
+        (i_star, p, {"e_star"}),
+        (embed, x, {"capelli_H"}),
+        (duality_W, x, {"nazarov_umeda_I"}),
+    ]:
+        built.clear()
+        f(arg)
+        counts = {key: c for key, c in built.items() if key[0] in names}
+        assert {key[0] for key in counts} == names, f.__name__
+        assert max(counts.values()) == 1, (f.__name__, counts)
+
+
 def test_omega_swaps_generator_families():
     for n in (2, 3):
         for k in range(1, n + 1):
@@ -217,7 +294,7 @@ def test_harish_chandra_on_named_elements():
 
 
 def test_harish_chandra_rejects_non_central():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="input is not central"):
         harish_chandra(CentralElement({((1, 1),): Fraction(1)}, 2, "user"))
 
 
