@@ -10,7 +10,8 @@ words. The paper's direct virtual words, with the virtual-Deruyts exchange
 blocks e_{C*,D*} and e_{D*,C*}, are the reference the tests compare against.
 Schur elements are normalized sums of double Young-Capelli bitableaux [box S|S]
 and specialize to the determinantal generators H_k(n) (column shapes) and the
-permanental generators I_k(n) (row shapes).
+permanental generators I_k(n) (row shapes). `schur_element_hc` builds the same
+element as the Harish-Chandra preimage of s*_lam, the route the CLI takes.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .enveloping import (
     pbw_normal_form,
 )
 from .lincomb import add_into, add_term, scale
-from .shifted import express_in_estar_basis, harish_chandra
+from .shifted import express_in_estar_basis, harish_chandra, s_star
 from .superspace import alpha, beta, highest_weight_vector, is_proper
 
 
@@ -157,17 +158,35 @@ def double_young_capelli(S, T, pool: int = 0) -> EnvelopingElement:
     return devirtualize(acc)
 
 
-def schur_element(lam: Partition, n: int, pool: int = 0) -> CentralElement:
-    """S_lam(n) = (1/H(lam~)) sum of [box S|S] over row-increasing tableaux S
-    of shape lam~ with entries in 1..n."""
+def _schur_shape(lam: Partition, n: int) -> tuple:
+    """(lam, lam~) after checking that lam is a partition and that lam~ has
+    at most n rows, the condition for S_lam(n) to be defined."""
     lam = check_partition(lam)
     lam_t = conjugate(lam)
     if lam_t and lam_t[0] > n:
         raise ValueError(f"schur element needs at most n rows in the conjugate, got {lam_t[0]} > {n}")
+    return lam, lam_t
+
+
+def schur_element(lam: Partition, n: int, pool: int = 0) -> CentralElement:
+    """S_lam(n) = (1/H(lam~)) sum of [box S|S] over row-increasing tableaux S
+    of shape lam~ with entries in 1..n. This is the definition, which
+    `verify` and the tests build S by."""
+    lam, lam_t = _schur_shape(lam, n)
     body: EnvelopingElement = {}
     for S in enumerate_row_increasing(lam_t, n):
         add_into(body, double_young_capelli(S, S, pool))
     body = scale(body, Fraction(1, hook_number(lam_t)))
+    return CentralElement(body, n, f"S:{format_partition(lam)}@n={n}")
+
+
+def schur_element_hc(lam: Partition, n: int) -> CentralElement:
+    """S_lam(n) as the Harish-Chandra preimage of s*_lam(n), the paper's main
+    theorem: s*_lam as a polynomial in e*_1..e*_n, evaluated in H_1..H_n. It
+    equals `schur_element` and is far cheaper, but a check of that theorem
+    must build S by `schur_element`, or it holds by construction."""
+    lam, _ = _schur_shape(lam, n)
+    body = _polynomial_body(express_in_estar_basis(s_star(lam, n)), n, capelli_H)
     return CentralElement(body, n, f"S:{format_partition(lam)}@n={n}")
 
 
@@ -294,19 +313,21 @@ def eigenvalue(x: CentralElement, mu: Partition) -> Fraction:
 
 def olshanski_project(x: CentralElement) -> CentralElement:
     """Projection from the center at n to the center at n-1: drop every PBW
-    monomial containing a generator whose column index is n; a surviving
-    row index n signals input outside the centralizer."""
+    monomial containing a generator whose column index is n. Every central
+    element has weight zero, so a monomial whose row indices differ from its
+    column indices as multisets signals non-central input; the check is
+    necessary, not sufficient (e12 e21 passes)."""
     n = x.n
     if n < 1:
         raise ValueError("nothing to project")
     check_letters(x.body, n)
     body: EnvelopingElement = {}
     for word, coeff in x.body.items():
-        if any(b == n for _, b in word):
-            continue
-        if any(a == n for a, _ in word):
-            raise ValueError("monomial with a lone row index n: input is not in the centralizer")
-        body[word] = coeff
+        cols = [b for _, b in word]
+        if sorted(a for a, _ in word) != sorted(cols):
+            raise ValueError("monomial of nonzero weight: input is not central")
+        if n not in cols:
+            body[word] = coeff
     return CentralElement(body, n - 1, f"project({x.provenance})")
 
 

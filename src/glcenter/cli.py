@@ -77,7 +77,7 @@ def build_element(spec: str) -> central.CentralElement:
     kind, payload, n = parse_element_spec(spec)
     try:
         if kind == "S":
-            return central.schur_element(parse_partition(payload), n)
+            return central.schur_element_hc(parse_partition(payload), n)
         if kind == "H":
             return central.capelli_H(int(payload), n)
         if kind == "I":

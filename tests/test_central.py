@@ -18,6 +18,7 @@ from glcenter.central import (
     nazarov_umeda_I_cper,
     olshanski_project,
     schur_element,
+    schur_element_hc,
     young_capelli,
 )
 from glcenter.combinatorics import (
@@ -215,6 +216,26 @@ def test_schur_element_basics():
         schur_element((1, 1, 1), 2)  # more rows than n
 
 
+def test_schur_routes_agree():
+    # the Harish-Chandra preimage of s*_lam that the CLI builds, against the
+    # definition, at every (lam, n) of `verify --suite schur --max-size 4
+    # --max-n 4` and at the empty partition
+    for n in range(1, 5):
+        for lam in partitions_upto(4):
+            if lam and conjugate(lam)[0] > n:
+                continue
+            by_hc, by_definition = schur_element_hc(lam, n), schur_element(lam, n)
+            assert by_hc.body == by_definition.body, (lam, n)
+            assert by_hc.provenance == by_definition.provenance
+            assert by_hc.n == n
+    for lam, n in [((1, 1, 1), 2), ((2, 1, 1, 1), 3)]:
+        with pytest.raises(ValueError) as by_definition:
+            schur_element(lam, n)
+        with pytest.raises(ValueError) as by_hc:
+            schur_element_hc(lam, n)
+        assert str(by_hc.value) == str(by_definition.value)
+
+
 def test_constructor_argument_errors():
     with pytest.raises(ValueError):
         capelli_H(0, 2)
@@ -282,8 +303,11 @@ def test_olshanski_projection():
     proj = olshanski_project(schur_element((2, 1), 3))
     assert proj.body == schur_element((2, 1), 2).body
     assert proj.n == 2
-    with pytest.raises(ValueError):
-        olshanski_project(CentralElement({((3, 1),): Fraction(1)}, 3, "user"))
+    # a central element has weight zero; e12 has no index 3 at all, so the
+    # column rule alone would keep it and return e12 at n = 2
+    for body in [{((3, 1),): 1}, {((1, 2),): 1}, {((1, 1),): 1, ((1, 3), (2, 2)): 2}]:
+        with pytest.raises(ValueError, match="nonzero weight"):
+            olshanski_project(CentralElement(body, 3, "user"))
 
 
 def test_center_maps_reject_letters_outside_n():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from glcenter import central
+from glcenter import central, cli
 from glcenter.central import nazarov_umeda_I, schur_element
 from glcenter.cli import main
 from glcenter.combinatorics import parse_partition
@@ -120,7 +120,9 @@ def test_eigen_checks_mu_before_building(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("built the element before checking --mu")
 
+    monkeypatch.setattr(cli, "build_element", refuse)
     monkeypatch.setattr(central, "schur_element", refuse)
+    monkeypatch.setattr(central, "schur_element_hc", refuse)
     with pytest.raises(ValueError) as bad_mu:
         parse_partition("2,x")
     for extra, message in [
@@ -131,6 +133,29 @@ def test_eigen_checks_mu_before_building(capsys, monkeypatch):
         for element in (("--spec", "S:3,2@n=4"), ("--lambda", "3,2", "--n", "4")):
             rc, out, err = run(capsys, "eigen", *element, *extra)
             assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_verify_builds_schur_elements_by_the_definition(capsys, monkeypatch):
+    # S built as the Harish-Chandra preimage of s*_lam would make `hc-s*`
+    # hold by construction
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify built S as the Harish-Chandra preimage")
+
+    monkeypatch.setattr(central, "schur_element_hc", refuse)
+    for suite in ("schur", "hc", "duality", "olshanski"):
+        rc, out, _ = run(capsys, "verify", "--suite", suite, "--max-n", "3", "--max-size", "2")
+        assert rc == 0, out
+        assert "S:2@n=" in out
+
+
+def test_element_verbs_build_schur_elements_as_the_hc_preimage(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built S by the bitableau definition")
+
+    monkeypatch.setattr(central, "schur_element", refuse)
+    for verb in (("element",), ("eigen", "--mu", "2,1"), ("hc",), ("dual",), ("project",)):
+        rc, _, err = run(capsys, *verb, "--spec", "S:2,1@n=3")
+        assert (rc, err) == (0, ""), verb
 
 
 def test_element_flags_are_exclusive(capsys):
