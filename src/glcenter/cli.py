@@ -14,6 +14,7 @@ import argparse
 import json
 import random
 import sys
+import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -211,7 +212,7 @@ def cmd_center_map(args) -> int:
     return 0
 
 
-def _suite_core(max_size: int, max_n: int, seed: int, d: int) -> list:
+def _suite_core(max_size: int, max_n: int, seed: int, d: int, schur) -> list:
     checks = []
     for n in range(1, max_n + 1):
         for k in range(1, min(n, max_size) + 1):
@@ -280,7 +281,7 @@ def _action_matches(word, monos) -> bool:
     )
 
 
-def _suite_schur(max_size: int, max_n: int, seed: int, d: int) -> list:
+def _suite_schur(max_size: int, max_n: int, seed: int, d: int, schur) -> list:
     checks = []
     for n in range(1, max_n + 1):
         for lam in partitions_upto(max_size, include_empty=False):
@@ -290,15 +291,13 @@ def _suite_schur(max_size: int, max_n: int, seed: int, d: int) -> list:
             checks.append(
                 (
                     f"eigen-diag {name}",
-                    lambda lam=lam, n=n: central.eigenvalue(
-                        central.schur_element(lam, n), lam
-                    )
+                    lambda lam=lam, n=n: central.eigenvalue(schur(lam, n), lam)
                     == hook_number(lam),
                 )
             )
 
             def vanish(lam=lam, n=n):
-                x = central.schur_element(lam, n)
+                x = schur(lam, n)
                 for mu in partitions_upto(size(lam), include_empty=False):
                     if mu == lam or len(mu) > n:
                         continue
@@ -310,15 +309,13 @@ def _suite_schur(max_size: int, max_n: int, seed: int, d: int) -> list:
             checks.append(
                 (
                     f"central {name}",
-                    lambda lam=lam, n=n: enveloping.is_central(
-                        central.schur_element(lam, n).body, n
-                    ),
+                    lambda lam=lam, n=n: enveloping.is_central(schur(lam, n).body, n),
                 )
             )
     return checks
 
 
-def _suite_duality(max_size: int, max_n: int, seed: int, d: int) -> list:
+def _suite_duality(max_size: int, max_n: int, seed: int, d: int, schur) -> list:
     checks = []
     for n in range(2, max_n + 1):
         for lam in partitions_upto(max_size, include_empty=False):
@@ -327,10 +324,8 @@ def _suite_duality(max_size: int, max_n: int, seed: int, d: int) -> list:
             checks.append(
                 (
                     f"dual S:{format_partition(lam)}@n={n}",
-                    lambda lam=lam, n=n: central.duality_W(
-                        central.schur_element(lam, n)
-                    ).body
-                    == central.schur_element(conjugate(lam), n).body,
+                    lambda lam=lam, n=n: central.duality_W(schur(lam, n)).body
+                    == schur(conjugate(lam), n).body,
                 )
             )
         for k in range(1, min(n, max_size) + 1):
@@ -360,7 +355,7 @@ def _suite_duality(max_size: int, max_n: int, seed: int, d: int) -> list:
     return checks
 
 
-def _suite_olshanski(max_size: int, max_n: int, seed: int, d: int) -> list:
+def _suite_olshanski(max_size: int, max_n: int, seed: int, d: int, schur) -> list:
     checks = []
     for n in range(2, max_n + 1):
         for k in range(1, min(n - 1, max_size) + 1):
@@ -395,25 +390,23 @@ def _suite_olshanski(max_size: int, max_n: int, seed: int, d: int) -> list:
             checks.append(
                 (
                     f"project S:{format_partition(lam)}@n={n}",
-                    lambda lam=lam, n=n: central.olshanski_project(
-                        central.schur_element(lam, n)
-                    ).body
-                    == central.schur_element(lam, n - 1).body,
+                    lambda lam=lam, n=n: central.olshanski_project(schur(lam, n)).body
+                    == schur(lam, n - 1).body,
                 )
             )
             checks.append(
                 (
                     f"embed-retract S:{format_partition(lam)}@n={n - 1}",
                     lambda lam=lam, n=n: central.olshanski_project(
-                        central.embed(central.schur_element(lam, n - 1))
+                        central.embed(schur(lam, n - 1))
                     ).body
-                    == central.schur_element(lam, n - 1).body,
+                    == schur(lam, n - 1).body,
                 )
             )
     return checks
 
 
-def _suite_hc(max_size: int, max_n: int, seed: int, d: int) -> list:
+def _suite_hc(max_size: int, max_n: int, seed: int, d: int, schur) -> list:
     checks = []
     for n in range(1, max_n + 1):
         for k in range(1, min(n, max_size) + 1):
@@ -443,7 +436,7 @@ def _suite_hc(max_size: int, max_n: int, seed: int, d: int) -> list:
                 (
                     f"hc-s* S:{format_partition(lam)}@n={n}",
                     lambda lam=lam, n=n: (
-                        shifted.harish_chandra(central.schur_element(lam, n))
+                        shifted.harish_chandra(schur(lam, n))
                         == shifted.s_star(lam, n)
                         == shifted.s_star_determinant(lam, n)
                     ),
@@ -476,19 +469,36 @@ def cmd_verify(args) -> int:
     if args.d < 1:
         raise UsageError(f"--d must be at least 1, got {args.d}")
     names = [args.suite] if args.suite else list(_SUITES)
+    built = {}  # S_lam(n) by the definition, once per (lam, n) of this run
+
+    def schur(lam, n):
+        # central.schur_element is looked up at call time, so a rebinding of
+        # it sees every real build; each check gets a copy of its own
+        if (lam, n) not in built:
+            built[lam, n] = central.schur_element(lam, n)
+        x = built[lam, n]
+        return central.CentralElement(dict(x.body), x.n, x.provenance)
+
     lines = []
     summary_checks = []
     failures = 0
     for name in names:
-        checks = _SUITE_BUILDERS[name](args.max_size, args.max_n, args.seed, args.d)
+        checks = _SUITE_BUILDERS[name](args.max_size, args.max_n, args.seed, args.d, schur)
         passed = 0
         for label, fn in checks:
+            start = time.perf_counter()
             ok, note = _run_check(fn)
+            seconds = time.perf_counter() - start
             passed += ok
             failures += not ok
             lines.append(("PASS " if ok else "FAIL ") + label + note)
             summary_checks.append(
-                {"name": label, "status": "pass" if ok else "fail", "suite": name}
+                {
+                    "name": label,
+                    "seconds": seconds,
+                    "status": "pass" if ok else "fail",
+                    "suite": name,
+                }
             )
         lines.append(f"suite {name}: {passed}/{len(checks)} passed")
     if args.format == "json":

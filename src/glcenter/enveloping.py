@@ -6,7 +6,9 @@ generators written left to right, and the rightmost factor acts first. An
 element is a sparse linear combination (see `lincomb`) mapping words to
 nonzero coefficients, each an int or a Fraction; the empty word is 1.
 Devirtualization and PBW rewriting only ever produce integer coefficients,
-so they stay plain ints until a caller scales by a non-integer.
+so they stay plain ints until a caller scales by a non-integer. The
+polarization action `act` applies each distinct right factor of its input
+once per call, so words that end alike share that work.
 
 Devirtualization sends a balanced virtual word to its proper image: the
 leftmost factor whose column symbol is virtual is pushed rightward with
@@ -79,15 +81,26 @@ def supercommutator(g: Gen, h: Gen) -> EnvelopingElement:
 
 
 def act(x: EnvelopingElement, p: SuperPolynomial) -> SuperPolynomial:
-    """Apply the polarization representation, rightmost factor first."""
+    """Apply the polarization representation, rightmost factor first. Words
+    with a common right factor share its image: they form a trie from the
+    right, grown one level at a time by grouping the words of a node on
+    their next factor to the left. Each node's factor acts once per call,
+    and a node whose image is zero grows no further."""
     out: SuperPolynomial = {}
-    for word, coeff in x.items():
-        q = p
-        for a, b in reversed(word):
-            if not q:
-                break
-            q = superpolarize(a, b, q)
-        add_into(out, q, coeff)
+    # k, words that share their last k factors, and the image of those factors
+    stack = [(0, x.items(), p)]
+    while stack:
+        k, words, q = stack.pop()
+        groups: dict = {}
+        for word, coeff in words:
+            if len(word) == k:
+                add_into(out, q, coeff)
+            else:
+                groups.setdefault(word[-1 - k], []).append((word, coeff))
+        for (a, b), group in groups.items():
+            image = superpolarize(a, b, q)
+            if image:
+                stack.append((k + 1, group, image))
     return out
 
 

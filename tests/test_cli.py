@@ -1,8 +1,9 @@
 import json
+from collections import Counter
 
 import pytest
 
-from glcenter import central, cli
+from glcenter import central, cli, shifted
 from glcenter.central import nazarov_umeda_I, schur_element
 from glcenter.cli import main
 from glcenter.combinatorics import parse_partition
@@ -148,6 +149,40 @@ def test_verify_builds_schur_elements_by_the_definition(capsys, monkeypatch):
         assert "S:2@n=" in out
 
 
+def test_verify_builds_each_schur_element_once(capsys, monkeypatch):
+    # every suite shares one build by the definition per (lam, n); a check
+    # that empties the S it was handed must not empty the next check's S
+    real = central.schur_element
+    builds = Counter()
+    first_body = {}
+
+    def counted(lam, n, *rest):
+        builds[lam, n] += 1
+        return real(lam, n, *rest)
+
+    def check_then_spoil(apply):
+        def wrapped(x):
+            y = apply(x)
+            if x.provenance.startswith("S:"):
+                assert x.body == first_body.setdefault(x.provenance, dict(x.body))
+                x.body.clear()
+            return y
+
+        return wrapped
+
+    monkeypatch.setattr(central, "schur_element", counted)
+    for module, name in (
+        (central, "duality_W"),
+        (central, "olshanski_project"),
+        (shifted, "harish_chandra"),
+    ):
+        monkeypatch.setattr(module, name, check_then_spoil(getattr(module, name)))
+    rc, out, _ = run(capsys, "verify", "--max-n", "3", "--max-size", "3")
+    assert rc == 0, out
+    assert set(builds.values()) == {1}
+    assert {"S:2,1@n=2", "S:2,1@n=3"} <= set(first_body)
+
+
 def test_element_verbs_build_schur_elements_as_the_hc_preimage(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("built S by the bitableau definition")
@@ -237,6 +272,7 @@ def test_verify_json_summary(capsys):
     assert summary["suites"] == ["hc"]
     assert summary["passed"] == summary["total"] > 0
     assert all(c["status"] == "pass" for c in summary["checks"])
+    assert all(isinstance(c["seconds"], float) and c["seconds"] >= 0 for c in summary["checks"])
 
 
 def test_output_is_deterministic(capsys):

@@ -25,7 +25,7 @@ from glcenter.enveloping import (
     supercommutator,
 )
 from glcenter.lincomb import add_into as elem_add_into, scale as elem_scale
-from glcenter.superspace import alpha, beta, const, is_proper, poly_mul
+from glcenter.superspace import alpha, beta, const, is_proper, poly_mul, superpolarize
 
 
 def e(i, j):
@@ -143,6 +143,28 @@ def test_act_is_linear_and_composes():
     assert act(elem_scale(x, Fraction(3, 7)), p) == {
         m: Fraction(3, 7) * c for m, c in act(x, p).items()
     }
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=6))
+def test_act_shares_right_factors_exactly(seed, count):
+    # act polarizes each distinct right factor once per call; the reference
+    # applies each word factor by factor. Words mix int and virtual symbols,
+    # and one word may end where another goes on (its right factor, or the
+    # empty word)
+    rng = random.Random(seed)
+    words = [random_balanced_word(rng, 2, max_len=4) for _ in range(count)]
+    words += [w + words[0] for w in words[1:]]
+    words += [w[rng.randint(1, len(w)) :] for w in words] + [()]
+    x = {w: Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3)) for w in words}
+    for p in monomial_basket(2, 2, 2):
+        expected = {}
+        for w, c in x.items():
+            q = p
+            for a, b in reversed(w):
+                q = superpolarize(a, b, q)
+            elem_add_into(expected, q, c)
+        assert act(x, p) == expected
 
 
 def test_is_irregular():
