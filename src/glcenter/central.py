@@ -46,8 +46,8 @@ from .enveloping import (
     one,
     pbw_normal_form,
 )
-from .lincomb import add_into, add_term, scale
-from .shifted import express_in_estar_basis, harish_chandra, s_star
+from .lincomb import add_into, add_term, prefix_product, scale
+from .shifted import _harish_chandra_peeled, express_in_estar_basis, s_star
 from .superspace import alpha, beta, highest_weight_vector, is_proper
 
 
@@ -228,9 +228,9 @@ def _add_column_expansion(body: EnvelopingElement, idx: tuple, shift, weight) ->
 
 
 def _matrix_entry(i: int, j: int, shift: int) -> EnvelopingElement:
-    out: EnvelopingElement = {((i, j),): Fraction(1)}
+    out: EnvelopingElement = {((i, j),): 1}
     if shift:
-        out[()] = Fraction(shift)
+        out[()] = shift
     return out
 
 
@@ -333,22 +333,24 @@ def olshanski_project(x: CentralElement) -> CentralElement:
 
 def _polynomial_body(coeffs: dict, n: int, generator) -> EnvelopingElement:
     """PBW form of the polynomial coeffs (multisets of k to coefficients) in
-    the elements generator(k, n), each built once."""
+    the elements generator(k, n), each built once. The product of a key is
+    built stepwise, as the PBW form of its prefix key[:-1] times generator
+    key[-1], normalized at once. The prefix products are kept for the call,
+    so keys that share a prefix share its product."""
     gens = {k: generator(k, n).body for k in set().union(*coeffs)}
+    products = {(): one()}
     body: EnvelopingElement = {}
     for key, c in coeffs.items():
-        term = one()
-        for k in key:
-            term = elem_mul(term, gens[k])
+        term = prefix_product(products, key, gens, lambda x, y: pbw_normal_form(elem_mul(x, y)))
         add_into(body, term, c)
-    return pbw_normal_form(body)
+    return body
 
 
 def embed(x: CentralElement) -> CentralElement:
     """The stable embedding of centers one dimension up: express x as a
     polynomial in H_1..H_n through its Harish-Chandra image and rebuild the
     same polynomial in H_1..H_n at n+1."""
-    coeffs = express_in_estar_basis(harish_chandra(x))
+    coeffs = _harish_chandra_peeled(x)[1]
     return CentralElement(
         _polynomial_body(coeffs, x.n + 1, capelli_H), x.n + 1, f"embed({x.provenance})"
     )
@@ -357,7 +359,7 @@ def embed(x: CentralElement) -> CentralElement:
 def duality_W(x: CentralElement) -> CentralElement:
     """The duality automorphism: substitute H_k -> I_k through the e*-basis
     expression of the Harish-Chandra image."""
-    coeffs = express_in_estar_basis(harish_chandra(x))
+    coeffs = _harish_chandra_peeled(x)[1]
     return CentralElement(
         _polynomial_body(coeffs, x.n, nazarov_umeda_I), x.n, f"W({x.provenance})"
     )

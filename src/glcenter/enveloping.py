@@ -52,7 +52,7 @@ def gen_key(g: Gen) -> tuple:
 
 
 def one() -> EnvelopingElement:
-    return {(): Fraction(1)}
+    return {(): 1}
 
 
 def elem_mul(x: EnvelopingElement, y: EnvelopingElement) -> EnvelopingElement:

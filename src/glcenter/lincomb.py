@@ -46,6 +46,17 @@ def scale(x: dict, c) -> dict:
     return {key: q * c for key, q in x.items()} if c else {}
 
 
+def prefix_product(table: dict, key: tuple, gens, mul):
+    """gens[key[0]] * ... * gens[key[-1]], built as the product of key[:-1]
+    times gens[key[-1]] and kept in table. The caller seeds table with
+    {(): unit} and keeps it for one call, so keys that share a prefix build
+    its product once."""
+    out = table.get(key)
+    if out is None:
+        out = table[key] = mul(prefix_product(table, key[:-1], gens, mul), gens[key[-1]])
+    return out
+
+
 def format_terms(terms) -> str:
     """Join (body, coeff) pairs as "a + b - c", in the order given. An empty
     body is the unit and prints as its coefficient; a coefficient of 1 or -1

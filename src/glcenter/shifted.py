@@ -2,7 +2,9 @@
 
 A polynomial is a sparse linear combination (see `lincomb`) mapping dense
 exponent tuples (length n) to nonzero int or Fraction coefficients, wrapped
-with its variable count. Shifted symmetry means
+with its variable count. A coefficient is an int until a division needs a
+Fraction: s*_lam, e*_k, h*_k, the e*-peel and its products stay in int.
+Shifted symmetry means
 p(..., x_i, x_{i+1}, ...) = p(..., x_{i+1} - 1, x_i + 1, ...) for all i;
 the named families e*_k, h*_k, s*_lambda all satisfy it, and the eigenvalue
 map from central elements lands exactly here.
@@ -24,7 +26,7 @@ from .combinatorics import (
     permutation_sign,
 )
 from .enveloping import check_letters
-from .lincomb import add_into, add_term, format_terms
+from .lincomb import add_into, add_term, format_terms, prefix_product
 
 
 @dataclass
@@ -38,7 +40,6 @@ def sp_zero(n: int) -> ShiftedPolynomial:
 
 
 def sp_const(n: int, c) -> ShiftedPolynomial:
-    c = Fraction(c)
     return ShiftedPolynomial(n, {(0,) * n: c} if c else {})
 
 
@@ -46,8 +47,7 @@ def sp_linear(n: int, i: int, shift) -> ShiftedPolynomial:
     """x_i + shift (1-indexed variable)."""
     terms = {}
     mono = tuple(1 if j == i - 1 else 0 for j in range(n))
-    terms[mono] = Fraction(1)
-    shift = Fraction(shift)
+    terms[mono] = 1
     if shift:
         terms[(0,) * n] = shift
     return ShiftedPolynomial(n, terms)
@@ -69,17 +69,17 @@ def sp_prod(n: int, factors) -> ShiftedPolynomial:
 
 
 def sp_eval(p: ShiftedPolynomial, values) -> Fraction:
-    values = [Fraction(v) for v in values]
+    values = [v if type(v) is int else Fraction(v) for v in values]
     if len(values) != p.n:
         raise ValueError("value count must match variable count")
-    total = Fraction(0)
+    total = 0
     for mono, c in p.terms.items():
         term = c
         for v, e in zip(values, mono):
             if e:
                 term *= v**e
         total += term
-    return total
+    return Fraction(total)
 
 
 def is_shifted_symmetric(p: ShiftedPolynomial) -> bool:
@@ -153,7 +153,11 @@ def sp_divide_exact(num: ShiftedPolynomial, den: ShiftedPolynomial) -> ShiftedPo
         q = tuple(a - b for a, b in zip(mono, dmono))
         if any(e < 0 for e in q):
             raise ValueError("polynomial division failed to be exact")
-        qterm = ShiftedPolynomial(num.n, {q: Fraction(coeff) / dcoeff})
+        if type(coeff) is int and type(dcoeff) is int and not coeff % dcoeff:
+            qcoeff = coeff // dcoeff
+        else:
+            qcoeff = Fraction(coeff) / dcoeff
+        qterm = ShiftedPolynomial(num.n, {q: qcoeff})
         add_into(quot.terms, qterm.terms)
         add_into(rem.terms, sp_mul(qterm, den).terms, -1)
     return quot
@@ -202,6 +206,11 @@ def harish_chandra(x) -> ShiftedPolynomial:
     """Image of a central element: keep purely-Cartan PBW monomials and send
     e_{ii} to x_i. Raises on a letter outside 1..n and when the e*-peel
     rejects the result as not shifted symmetric."""
+    return _harish_chandra_peeled(x)[0]
+
+
+def _harish_chandra_peeled(x) -> tuple:
+    """(harish_chandra(x), its e*-basis expression), from one peel."""
     n = x.n
     check_letters(x.body, n)
     out: dict = {}
@@ -213,10 +222,10 @@ def harish_chandra(x) -> ShiftedPolynomial:
             add_term(out, tuple(exps), coeff)
     p = ShiftedPolynomial(n, out)
     try:
-        express_in_estar_basis(p)
+        coeffs = express_in_estar_basis(p)
     except ValueError:
         raise ValueError("Harish-Chandra image is not shifted symmetric; input is not central") from None
-    return p
+    return p, coeffs
 
 
 def eval_at_partition(p: ShiftedPolynomial, mu: Partition) -> Fraction:
@@ -238,13 +247,15 @@ def express_in_estar_basis(p: ShiftedPolynomial) -> dict:
     """Unique expression of a shifted symmetric polynomial as a polynomial in
     e*_1 .. e*_n: mapping from multisets (weakly decreasing tuples of k
     values) to coefficients. Peels the (degree, lex) leading term against the
-    e*-product it leads, so that term falls strictly at every step. The peel
+    e*-product it leads, so that term falls strictly at every step. Each
+    e*-product is its key's prefix product times one more generator. The peel
     raises exactly when the input is not in Q[e*_1..e*_n], which makes it a
     complete test of shifted symmetry."""
     n = p.n
     rem = ShiftedPolynomial(n, dict(p.terms))
     coeffs: dict = {}
     gens: dict = {}
+    products = {(): sp_const(n, 1)}
     while rem.terms:
         mono = max(rem.terms, key=lambda m: (sum(m), m))
         if any(mono[i] < mono[i + 1] for i in range(n - 1)):
@@ -253,16 +264,18 @@ def express_in_estar_basis(p: ShiftedPolynomial) -> dict:
         key = conjugate(tuple(e for e in mono if e))
         add_term(coeffs, key, coeff)
         gens.update((k, e_star(k, n)) for k in set(key) - gens.keys())
-        add_into(rem.terms, sp_prod(n, (gens[k] for k in key)).terms, -coeff)
+        add_into(rem.terms, prefix_product(products, key, gens, sp_mul).terms, -coeff)
     return coeffs
 
 
 def from_estar_coeffs(coeffs: dict, n: int, gen=e_star) -> ShiftedPolynomial:
-    """The polynomial coeffs (as from the peel) in gen(k, n), built once per k."""
+    """The polynomial coeffs (as from the peel) in gen(k, n), built once per k,
+    each product from its key's prefix product."""
     gens = {k: gen(k, n) for k in set().union(*coeffs)}
+    products = {(): sp_const(n, 1)}
     out = sp_zero(n)
     for key, c in coeffs.items():
-        add_into(out.terms, sp_prod(n, (gens[k] for k in key)).terms, c)
+        add_into(out.terms, prefix_product(products, key, gens, sp_mul).terms, c)
     return out
 
 

@@ -90,7 +90,6 @@ def normalize_vars(seq: Sequence[Var]) -> tuple:
 
 
 def const(c) -> SuperPolynomial:
-    c = Fraction(c)
     return {(): c} if c else {}
 
 
@@ -137,7 +136,7 @@ def biproduct(word: Sequence[Sym], places: Sequence[int]) -> SuperPolynomial:
     mono, sign = normalize_vars(tuple((g, j) for j in places))
     if mono is None:
         return {}
-    p: SuperPolynomial = {mono: Fraction(sign)}
+    p: SuperPolynomial = {mono: sign}
     for z in reversed(word):
         p = superpolarize(z, g, p)
     return p

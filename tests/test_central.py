@@ -31,10 +31,10 @@ from glcenter.combinatorics import (
     size,
     sym_character,
 )
-from glcenter.enveloping import act, devirtualize, is_central, one
-from glcenter.lincomb import add_term, scale as elem_scale
-from glcenter.shifted import harish_chandra
-from glcenter.superspace import alpha, beta, poly_mul
+from glcenter.enveloping import act, devirtualize, elem_mul, is_central, one, pbw_normal_form
+from glcenter.lincomb import add_into, add_term, scale as elem_scale
+from glcenter.shifted import express_in_estar_basis, harish_chandra, s_star
+from glcenter.superspace import alpha, beta, highest_weight_vector, poly_mul
 
 
 # The paper's direct virtual words. With the Coderuyts tableau C* (one
@@ -389,6 +389,38 @@ def test_constructor_coefficients_are_exact():
         assert body and {type(c) for c in body.values()} <= {int, Fraction}
     value = eigenvalue(capelli_H(2, 2), (1, 1))
     assert type(value) is Fraction and value == 2
+
+
+def test_integer_coefficients_stay_integers():
+    for body in [
+        schur_element_hc((2, 1), 4).body,
+        capelli_H_cdet(3, 4).body,
+        highest_weight_vector((2, 1), 3, 2),
+    ]:
+        assert body and {type(c) for c in body.values()} == {int}
+
+
+def one_pass_body(coeffs, n, generator):
+    """The polynomial coeffs in generator(k, n) by one PBW pass: multiply
+    the raw words of every key, then normalize the sum once."""
+    gens = {k: generator(k, n).body for k in set().union(*coeffs)}
+    body = {}
+    for key, c in coeffs.items():
+        term = one()
+        for k in key:
+            term = elem_mul(term, gens[k])
+        add_into(body, term, c)
+    return pbw_normal_form(body)
+
+
+def test_stepwise_product_is_the_one_pass_product():
+    lam, n = (3, 2, 1), 4
+    coeffs = express_in_estar_basis(s_star(lam, n))
+    assert schur_element_hc(lam, n).body == one_pass_body(coeffs, n, capelli_H)
+    x = schur_element_hc((2, 2), 4)
+    coeffs = express_in_estar_basis(harish_chandra(x))
+    assert duality_W(x).body == one_pass_body(coeffs, 4, nazarov_umeda_I)
+    assert embed(x).body == one_pass_body(coeffs, 5, capelli_H)
 
 
 def test_provenance_records_maps():

@@ -1,6 +1,7 @@
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,6 +37,7 @@ from glcenter.shifted import (
     shifted_to_json,
     sp_const,
     sp_divide_exact,
+    sp_eval,
     sp_linear,
     sp_mul,
     sp_prod,
@@ -222,8 +224,8 @@ def test_each_generator_is_built_once_per_call(monkeypatch):
             return _original(k, n, *args)
 
         monkeypatch.setattr(module, name, counted)
-    # embed and duality_W peel twice (in harish_chandra and after it), so
-    # they are checked on the generators they substitute
+    # embed and duality_W are checked on the generators they substitute;
+    # the next test counts their peels
     for f, arg, names in [
         (express_in_estar_basis, p, {"e_star"}),
         (omega, p, {"e_star", "h_star"}),
@@ -293,6 +295,23 @@ def test_harish_chandra_on_named_elements():
     assert harish_chandra(schur_element((2, 1), 2)) == s_star((2, 1), 2)
 
 
+def test_embed_and_duality_peel_the_image_once(monkeypatch):
+    peels = []
+
+    def counted(p):
+        peels.append(p)
+        return express_in_estar_basis(p)
+
+    for module in (shifted, central):
+        monkeypatch.setattr(module, "express_in_estar_basis", counted)
+    x = schur_element((2, 1), 3)
+    image = harish_chandra(x)
+    for f in (embed, duality_W):
+        peels.clear()
+        f(x)
+        assert peels == [image], f.__name__
+
+
 def test_harish_chandra_rejects_non_central():
     with pytest.raises(ValueError, match="input is not central"):
         harish_chandra(CentralElement({((1, 1),): Fraction(1)}, 2, "user"))
@@ -315,6 +334,46 @@ def test_sp_divide_exact_keeps_integer_input_exact():
     q = sp_divide_exact(num, ShiftedPolynomial(1, {(1,): 2}))
     assert q.terms == {(1,): Fraction(1, 2), (0,): Fraction(3, 2)}
     assert {type(c) for c in q.terms.values()} == {Fraction}
+
+
+def test_sp_divide_exact_gives_int_quotient_when_integral():
+    x1, x2 = sp_linear(2, 1, 0), sp_linear(2, 2, 0)
+    num = sp_mul(sp_add(x1, x2), ShiftedPolynomial(2, {(1, 0): 2, (0, 0): -6}))
+    q = sp_divide_exact(num, sp_add(x1, x2))
+    assert q.terms == {(1, 0): 2, (0, 0): -6}
+    assert {type(c) for c in q.terms.values()} == {int}
+
+
+def test_integer_coefficients_stay_integers():
+    p = s_star((3, 1), 5)
+    for terms in [
+        p.terms,
+        express_in_estar_basis(p),
+        omega(p).terms,
+        i_star(p).terms,
+        s_star_determinant((2, 1), 3).terms,
+    ]:
+        assert terms and {type(c) for c in terms.values()} == {int}
+
+
+def test_eval_at_partition_is_the_fraction_evaluation():
+    # the value summed in int equals the sum over Fraction powers, as a Fraction
+    p = s_star((3, 1), 5)
+    for mu in [(), (1,), (3, 1), (4, 2, 1), (5, 3, 3, 2, 1)]:
+        point = [Fraction(v) for v in mu + (0,) * (5 - len(mu))]
+        reference = sum(
+            (c * prod(v**e for v, e in zip(point, mono)) for mono, c in p.terms.items()),
+            Fraction(0),
+        )
+        value = eval_at_partition(p, mu)
+        assert type(value) is Fraction and value == reference, mu
+
+
+def test_sp_eval_accepts_fraction_values():
+    p = ShiftedPolynomial(2, {(2, 0): 3, (0, 1): Fraction(1, 2), (0, 0): -1})
+    value = sp_eval(p, [Fraction(1, 3), 4])
+    assert type(value) is Fraction and value == Fraction(4, 3)
+    assert sp_eval(e_star(2, 2), [Fraction(1, 2), Fraction(3, 2)]) == Fraction(9, 4)
 
 
 def test_harish_chandra_of_integer_body():
