@@ -136,11 +136,18 @@ def _pbw_word(word: Word) -> EnvelopingElement:
 
 
 def pbw_normal_form(x: EnvelopingElement) -> EnvelopingElement:
-    out: EnvelopingElement = {}
-    for word, coeff in x.items():
+    for word in x:
         for g in word:
             if not (is_proper(g[0]) and is_proper(g[1])):
                 raise ValueError(f"non-proper generator in PBW input: {g}")
+    return _pbw_normal_form(x)
+
+
+def _pbw_normal_form(x: EnvelopingElement) -> EnvelopingElement:
+    """`pbw_normal_form` of an x whose generators the caller knows are
+    proper."""
+    out: EnvelopingElement = {}
+    for word, coeff in x.items():
         add_into(out, _pbw_word(word), coeff)
     return out
 
@@ -233,7 +240,7 @@ def devirtualize(x: EnvelopingElement) -> EnvelopingElement:
                 raise ValueError(
                     f"input is not balanced: virtual generator {(a, b)} survives"
                 )
-    return pbw_normal_form(acc)
+    return _pbw_normal_form(acc)
 
 
 def adjoint(g: Gen, x: EnvelopingElement) -> EnvelopingElement:

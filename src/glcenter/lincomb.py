@@ -2,10 +2,13 @@
 
 A combination is a dict mapping basis keys to nonzero exact coefficients,
 each an int or a Fraction; a key whose coefficient sums to zero is removed,
-so two combinations are equal exactly when their dicts are. Superspace
-monomials, enveloping words and shifted exponent tuples are all keys here;
-each algebra keeps its own product, because the three multiply keys
-differently (Koszul-signed sorting, concatenation, exponent addition).
+so two combinations are equal exactly when their dicts are. A key that is
+new to a combination is stored with its coefficient as given, without the
+sum 0 + q, and a scale by the int 1 is skipped; neither changes a
+coefficient's type. Superspace monomials, enveloping words and shifted
+exponent tuples are all keys here; each algebra keeps its own product,
+because the three multiply keys differently (Koszul-signed sorting,
+concatenation, exponent addition).
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ from __future__ import annotations
 
 def add_term(x: dict, key, coeff) -> None:
     """x += coeff * key, in place."""
-    v = x.get(key, 0) + coeff
+    v = x.get(key)
+    v = coeff if v is None else v + coeff
     if v:
         x[key] = v
     else:
@@ -22,8 +26,14 @@ def add_term(x: dict, key, coeff) -> None:
 
 def add_into(x: dict, y: dict, c=1) -> None:
     """x += c * y, in place."""
+    if not c:
+        return
+    unit = type(c) is int and c == 1
     for key, q in y.items():
-        v = x.get(key, 0) + q * c
+        if not unit:
+            q = q * c
+        v = x.get(key)
+        v = q if v is None else v + q
         if v:
             x[key] = v
         else:

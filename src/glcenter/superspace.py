@@ -7,7 +7,10 @@ build biproducts, degree 0). A variable (a|j) pairs a symbol with a place
 j >= 1; places carry degree 1, so a variable is odd exactly when its symbol
 is even. Odd variables anticommute and square to zero; even variables are
 central. Monomials are stored sorted by a fixed key with the sign of the
-sorting permutation absorbed into the coefficient.
+sorting permutation absorbed into the coefficient. Every constructor here,
+`poly_from_json` included, makes such canonical monomials, and
+`superpolarize` relies on it: it moves the one variable it changes to its
+place instead of sorting the monomial again.
 
 A polynomial is a sparse linear combination (see `lincomb`) mapping
 monomials (tuples of variables) to nonzero int or Fraction coefficients; the
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -105,19 +109,30 @@ def poly_mul(p: SuperPolynomial, q: SuperPolynomial) -> SuperPolynomial:
 
 def superpolarize(a: Sym, b: Sym, p: SuperPolynomial) -> SuperPolynomial:
     """Left superderivation D_{a,b}: sends (b|j) to (a|j), Leibniz with sign
-    (-1)^{|D| |prefix|} on each monomial."""
-    d_deg = (symbol_degree(a) + symbol_degree(b)) % 2
+    (-1)^{|D| |prefix|} on each monomial.
+
+    The monomials of p must be canonical (sorted by `var_key`, no repeated
+    odd variable), as every constructor in this module makes them. The new
+    variable (a|j) then only moves to its place in the rest of the monomial:
+    when it is odd, the sorting sign is the parity of the odd variables it
+    passes, and the term is zero if an equal odd variable is already there."""
+    d_odd = symbol_degree(a) != symbol_degree(b)
+    a_odd = symbol_degree(a) == 0
+    a_key = symbol_key(a)
     out: SuperPolynomial = {}
     for mono, coeff in p.items():
-        prefix_odd = 0
         for i, (sym, place) in enumerate(mono):
-            if sym == b:
-                sign = -1 if d_deg and prefix_odd % 2 else 1
-                new, s2 = normalize_vars(mono[:i] + ((a, place),) + mono[i + 1 :])
-                if new is not None:
-                    add_term(out, new, coeff * sign * s2)
-            if var_is_odd((sym, place)):
-                prefix_odd += 1
+            if sym != b:
+                continue
+            new = (a, place)
+            rest = mono[:i] + mono[i + 1 :]
+            k = bisect_left(rest, a_key + (place,), key=var_key)
+            flip = d_odd and sum(map(var_is_odd, mono[:i])) % 2
+            if a_odd:
+                if rest[k : k + 1] == (new,):
+                    continue
+                flip ^= sum(map(var_is_odd, rest[k:i] if k < i else rest[i:k])) % 2
+            add_term(out, rest[:k] + (new,) + rest[k:], -coeff if flip else coeff)
     return out
 
 
@@ -296,8 +311,14 @@ def poly_to_json(p: SuperPolynomial) -> str:
 
 
 def poly_from_json(text: str) -> SuperPolynomial:
+    """Read a polynomial written as a list of monomials in any order; each
+    monomial is sorted into canonical order with its sign, and one that
+    repeats an odd variable is zero."""
     out: SuperPolynomial = {}
     for item in json.loads(text):
-        mono = tuple((_sym_from_json(v[:2]), int(v[2])) for v in item["monomial"])
-        add_term(out, mono, Fraction(item["coeff"]))
+        mono, sign = normalize_vars(
+            [(_sym_from_json(v[:2]), int(v[2])) for v in item["monomial"]]
+        )
+        if mono is not None:
+            add_term(out, mono, sign * Fraction(item["coeff"]))
     return out

@@ -84,6 +84,27 @@ def test_pbw_normal_form_rejects_virtual():
         pbw_normal_form({((1, alpha(1)),): Fraction(1)})
 
 
+def test_pbw_normal_form_rejection_names_the_generator():
+    with pytest.raises(ValueError, match=r"^non-proper generator in PBW input: \(1, \('a', 1\)\)$"):
+        pbw_normal_form({((1, 2),): 1, ((1, alpha(1)),): Fraction(1)})
+
+
+def test_devirtualize_skips_the_checked_pbw_route(monkeypatch):
+    # devirtualize has checked every generator of its image already, so it
+    # normalizes through the unchecked route
+    rng = random.Random(11)
+    words = [random_balanced_word(rng, 3, max_len=6) for _ in range(20)]
+    expected = [devirtualize({w: 1}) for w in words]
+
+    def checked_route(x):
+        raise AssertionError("devirtualize re-checked its generators")
+
+    monkeypatch.setattr(enveloping, "pbw_normal_form", checked_route)
+    assert [devirtualize({w: 1}) for w in words] == expected
+    with pytest.raises(ValueError, match="not balanced"):
+        devirtualize({((alpha(1), 1),): 1})
+
+
 def test_pbw_key_blocks():
     assert pbw_key((2, 1)) < pbw_key((1, 1)) < pbw_key((2, 2)) < pbw_key((1, 2))
 

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from glcenter.lincomb import add, add_into, scale, sub
+from glcenter.lincomb import add, add_into, add_term, scale, sub
 
 coeffs = st.one_of(
     st.integers(-3, 3),
@@ -35,3 +35,39 @@ def test_kernel_matches_reference(x, y, c):
     assert x == x0 and y == y0
     assert scale(x, 0) == {}
     assert scale(x, Fraction(0)) == {}
+
+
+def _types(x):
+    return {k: type(v) for k, v in x.items()}
+
+
+def test_add_into_keeps_coefficient_types():
+    x = {0: 2, 1: Fraction(1, 2)}
+    y = {1: Fraction(1, 2), 2: 3, 3: Fraction(-2, 3), 4: 5}
+    add_into(x, y)
+    assert x == {0: 2, 1: 1, 2: 3, 3: Fraction(-2, 3), 4: 5}
+    assert _types(x) == {0: int, 1: Fraction, 2: int, 3: Fraction, 4: int}
+    z = {0: 2}
+    add_into(z, {0: 1, 1: 3}, Fraction(1))
+    assert z == {0: 3, 1: 3}
+    assert _types(z) == {0: Fraction, 1: Fraction}
+
+
+def test_zero_scale_and_zero_term_change_nothing():
+    x = {0: 2, 1: Fraction(1, 2)}
+    add_into(x, {1: Fraction(3), 2: 4}, 0)
+    assert x == {0: 2, 1: Fraction(1, 2)}
+    assert _types(x) == {0: int, 1: Fraction}
+    add_term(x, 5, 0)
+    add_term(x, 6, Fraction(0))
+    assert x == {0: 2, 1: Fraction(1, 2)}
+
+
+def test_cancelling_sums_remove_the_key():
+    x = {0: 2, 1: Fraction(1, 2)}
+    add_term(x, 0, -2)
+    add_into(x, {1: Fraction(1, 4)}, -2)
+    assert x == {}
+    y = {0: 1}
+    add_term(y, 1, Fraction(1, 3))
+    assert _types(y) == {0: int, 1: Fraction}

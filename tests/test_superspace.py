@@ -1,11 +1,12 @@
+import json
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from glcenter.combinatorics import conjugate, enumerate_standard_proper, permutation_sign
-from glcenter.lincomb import add as poly_add, scale as poly_scale, sub as poly_sub
+from glcenter.lincomb import add as poly_add, add_term, scale as poly_scale, sub as poly_sub
 from glcenter.superspace import (
     alpha,
     beta,
@@ -16,6 +17,7 @@ from glcenter.superspace import (
     highest_weight_vector,
     laplace_check,
     laplace_check_dual,
+    normalize_vars,
     poly_from_json,
     poly_mul,
     poly_to_json,
@@ -23,6 +25,7 @@ from glcenter.superspace import (
     span_dimension,
     straighten_oracle,
     superpolarize,
+    symbol_degree,
     var_is_odd,
 )
 
@@ -233,3 +236,70 @@ def test_poly_json_round_trip():
     assert poly_from_json(poly_to_json({})) == {}
     q = poly_scale(v(beta(2), 4), Fraction(-7, 3))
     assert poly_from_json(poly_to_json(q)) == q
+
+
+def test_poly_from_json_canonicalizes_monomials():
+    def text(places, coeff):
+        return json.dumps([{"monomial": [["alpha", 1, j] for j in places], "coeff": coeff}])
+
+    # (a1|2)(a1|1) = -(a1|1)(a1|2): both odd, so the swap is a sign
+    swapped = poly_from_json(text((2, 1), "1"))
+    assert swapped == poly_from_json(text((1, 2), "-1"))
+    assert swapped == {((alpha(1), 1), (alpha(1), 2)): Fraction(-1)}
+    assert all(type(c) is Fraction for c in swapped.values())
+    # (a1|1)^2 is the square of an odd variable
+    assert poly_from_json(text((1, 1), "1")) == {}
+    p = biproduct((alpha(1), 2, 3), (1, 2, 3))
+    assert poly_to_json(poly_from_json(poly_to_json(p))) == poly_to_json(p)
+
+
+def resort_superpolarize(a, b, p):
+    """D_{a,b} by its definition: replace (b|j) by (a|j) and re-sort the
+    whole product with normalize_vars."""
+    d_deg = (symbol_degree(a) + symbol_degree(b)) % 2
+    out = {}
+    for mono, coeff in p.items():
+        prefix_odd = 0
+        for i, (sym, place) in enumerate(mono):
+            if sym == b:
+                sign = -1 if d_deg and prefix_odd % 2 else 1
+                new, s2 = normalize_vars(mono[:i] + ((a, place),) + mono[i + 1 :])
+                if new is not None:
+                    add_term(out, new, coeff * sign * s2)
+            if var_is_odd((sym, place)):
+                prefix_odd += 1
+    return out
+
+
+# Few symbols and places, so that a drawn monomial often repeats an even
+# variable or already holds the odd variable that D_{a,b} makes.
+polarize_symbols = [1, 2, alpha(1), alpha(2), beta(1), beta(2), gamma(1)]
+polarize_coeffs = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+).filter(bool)
+
+
+@st.composite
+def canonical_polys(draw):
+    variables = st.tuples(st.sampled_from(polarize_symbols), st.integers(1, 3))
+    p = {}
+    for raw, c in draw(st.lists(st.tuples(st.lists(variables, max_size=5), polarize_coeffs), max_size=6)):
+        mono, sign = normalize_vars(raw)
+        if mono is not None:
+            add_term(p, mono, sign * c)
+    return p
+
+
+@settings(max_examples=400, deadline=None)
+@given(canonical_polys(), st.sampled_from(polarize_symbols), st.sampled_from(polarize_symbols))
+# the new odd variable (a1|1) is already there
+@example({((1, 1), (alpha(1), 1)): 1}, alpha(1), 1)
+# a repeated even variable, the empty monomial, and a monomial with no b
+@example({((1, 1), (1, 1)): Fraction(1, 2), (): 3, ((2, 1),): 1}, alpha(1), 1)
+# (g1|2) passes the odd (a1|1) and (a2|3) on its way right
+@example({((beta(1), 2), (alpha(1), 1), (alpha(2), 3)): Fraction(-2, 3)}, gamma(1), beta(1))
+def test_superpolarize_matches_resort_reference(p, a, b):
+    got, want = superpolarize(a, b, p), resort_superpolarize(a, b, p)
+    assert got == want
+    assert {m: type(c) for m, c in got.items()} == {m: type(c) for m, c in want.items()}
