@@ -2,16 +2,21 @@
 
 Constructions route through virtual symbols: a Capelli bitableau [S|T] is the
 devirtualized image of e_{S,C*} e_{C*,T}, where the Coderuyts tableau C* has
-one positive virtual symbol per row. A Young-Capelli bitableau [S|box T] is
-built as its expansion, the column symmetrization of Capelli words, and a
-double Young-Capelli bitableau [box S|T] as the signed row symmetrization of
-Young-Capelli expansions; each constructor devirtualizes one combination of
-words. The paper's direct virtual words, with the virtual-Deruyts exchange
-blocks e_{C*,D*} and e_{D*,C*}, are the reference the tests compare against.
-Schur elements are normalized sums of double Young-Capelli bitableaux [box S|S]
-and specialize to the determinantal generators H_k(n) (column shapes) and the
-permanental generators I_k(n) (row shapes). `schur_element_hc` builds the same
-element as the Harish-Chandra preimage of s*_lam, the route the CLI takes.
+the positive symbol alpha_r on row r; `_left_block` and `_right_block` write
+the words of every constructor. The image does not depend on which virtual
+symbols are chosen, so no constructor takes an offset for them. A
+Young-Capelli bitableau [S|box T] is built as its expansion, the column
+symmetrization of Capelli words, and a double Young-Capelli bitableau
+[box S|T] as the signed row symmetrization of Young-Capelli expansions; each
+constructor devirtualizes one combination of words. The paper's direct
+virtual words, with the virtual-Deruyts exchange blocks e_{C*,D*} and
+e_{D*,C*}, are the reference the tests compare against. Schur elements are
+normalized sums of double Young-Capelli bitableaux [box S|S] and specialize
+to the determinantal generators H_k(n) (column shapes) and the permanental
+generators I_k(n) (row shapes). H_k(n) and I_k(n) are one row construction,
+made on a positive and on a negative virtual symbol. `schur_element_hc`
+builds the same element as the Harish-Chandra preimage of s*_lam, the route
+the CLI takes.
 """
 
 from __future__ import annotations
@@ -74,21 +79,20 @@ def _check_bitableau(S, T) -> tuple:
     return S, T
 
 
-def _left_block(S: Tableau, pool: int) -> tuple:
-    """e_{S,C*}: the Coderuyts tableau repeats one positive symbol per row."""
-    return tuple((x, alpha(r + 1 + pool)) for r, row in enumerate(S) for x in row)
+def _left_block(S: Tableau, virtual=alpha) -> tuple:
+    """e_{S,C*}, where row r of C* repeats the virtual symbol virtual(r)."""
+    return tuple((x, virtual(r + 1)) for r, row in enumerate(S) for x in row)
 
 
-def _right_block(T: Tableau, pool: int) -> tuple:
+def _right_block(T: Tableau, virtual=alpha) -> tuple:
     """e_{C*,T}."""
-    return tuple((alpha(r + 1 + pool), x) for r, row in enumerate(T) for x in row)
+    return tuple((virtual(r + 1), x) for r, row in enumerate(T) for x in row)
 
 
-def capelli_bitableau(S, T, pool: int = 0) -> EnvelopingElement:
+def capelli_bitableau(S, T) -> EnvelopingElement:
     """[S|T]: image of e_{S,C*} e_{C*,T}; central only in aggregate sums."""
     S, T = _check_bitableau(S, T)
-    word = _left_block(S, pool) + _right_block(T, pool)
-    return devirtualize({word: 1})
+    return devirtualize({_left_block(S) + _right_block(T): 1})
 
 
 def _column_permuted(T: Tableau):
@@ -124,28 +128,28 @@ def _sorted_odd(factors: tuple):
     return permutation_sign(keys), tuple(g for _, g in sorted(zip(keys, factors)))
 
 
-def _yc_expansion(S: Tableau, T: Tableau, pool: int) -> EnvelopingElement:
+def _yc_expansion(S: Tableau, T: Tableau) -> EnvelopingElement:
     """Column-symmetrized sum of Capelli words, not yet devirtualized; the
     blocks e_{S,C*} and e_{C*,T'} of each word sort independently."""
     acc: EnvelopingElement = {}
-    left = _sorted_odd(_left_block(S, pool))
+    left = _sorted_odd(_left_block(S))
     if left is None:
         return acc
     for Tbar in _column_permuted(T):
-        right = _sorted_odd(_right_block(Tbar, pool))
+        right = _sorted_odd(_right_block(Tbar))
         if right is not None:
             add_term(acc, left[1] + right[1], left[0] * right[0])
     return acc
 
 
-def young_capelli(S, T, pool: int = 0) -> EnvelopingElement:
+def young_capelli(S, T) -> EnvelopingElement:
     """[S|box T]: column symmetrization of [S|T], the sum of the Capelli
     bitableaux [S|T'] over the column permutations T' of T."""
     S, T = _check_bitableau(S, T)
-    return devirtualize(_yc_expansion(S, T, pool))
+    return devirtualize(_yc_expansion(S, T))
 
 
-def double_young_capelli(S, T, pool: int = 0) -> EnvelopingElement:
+def double_young_capelli(S, T) -> EnvelopingElement:
     """[box S|T]: signed row symmetrization of Young-Capelli bitableaux, the
     sum of sign(pi) [S|box T'] over the row permutations T' = pi(T), times
     (-1)^(h(h-1)/2) for h = |shape|."""
@@ -154,7 +158,7 @@ def double_young_capelli(S, T, pool: int = 0) -> EnvelopingElement:
     global_sign = -1 if (h * (h - 1) // 2) % 2 else 1
     acc: EnvelopingElement = {}
     for sign, Ts in _row_permuted(T):
-        add_into(acc, _yc_expansion(S, Ts, pool), global_sign * sign)
+        add_into(acc, _yc_expansion(S, Ts), global_sign * sign)
     return devirtualize(acc)
 
 
@@ -168,14 +172,14 @@ def _schur_shape(lam: Partition, n: int) -> tuple:
     return lam, lam_t
 
 
-def schur_element(lam: Partition, n: int, pool: int = 0) -> CentralElement:
+def schur_element(lam: Partition, n: int) -> CentralElement:
     """S_lam(n) = (1/H(lam~)) sum of [box S|S] over row-increasing tableaux S
     of shape lam~ with entries in 1..n. This is the definition, which
     `verify` and the tests build S by."""
     lam, lam_t = _schur_shape(lam, n)
     body: EnvelopingElement = {}
     for S in enumerate_row_increasing(lam_t, n):
-        add_into(body, double_young_capelli(S, S, pool))
+        add_into(body, double_young_capelli(S, S))
     body = scale(body, Fraction(1, hook_number(lam_t)))
     return CentralElement(body, n, f"S:{format_partition(lam)}@n={n}")
 
@@ -190,17 +194,20 @@ def schur_element_hc(lam: Partition, n: int) -> CentralElement:
     return CentralElement(body, n, f"S:{format_partition(lam)}@n={n}")
 
 
-def capelli_H(k: int, n: int, pool: int = 0) -> CentralElement:
+def _one_row(tuples, virtual, weight) -> EnvelopingElement:
+    """Image of the sum of weight(idx) [idx reversed|idx] over idx in tuples,
+    one row on the single virtual symbol virtual(1)."""
+    words = {_left_block((i[::-1],), virtual) + _right_block((i,), virtual): weight(i) for i in tuples}
+    return devirtualize(words)
+
+
+def capelli_H(k: int, n: int) -> CentralElement:
     """H_k(n): sum over increasing k-tuples of [i_k...i_1|i_1...i_k], all rows
     built on a single positive virtual symbol."""
     if not 1 <= k <= n:
         raise ValueError(f"H_k needs 1 <= k <= n, got k={k}, n={n}")
-    a = alpha(1 + pool)
-    words: EnvelopingElement = {}
-    for idx in combinations(range(1, n + 1), k):
-        word = tuple((i, a) for i in reversed(idx)) + tuple((a, i) for i in idx)
-        words[word] = 1
-    return CentralElement(devirtualize(words), n, f"H:{k}@n={n}")
+    body = _one_row(combinations(range(1, n + 1), k), alpha, lambda idx: 1)
+    return CentralElement(body, n, f"H:{k}@n={n}")
 
 
 def capelli_H_cdet(k: int, n: int) -> CentralElement:
@@ -239,18 +246,14 @@ def _multiplicity_weight(idx: tuple) -> Fraction:
     return Fraction(1, prod(map(factorial, Counter(idx).values())))
 
 
-def nazarov_umeda_I(k: int, n: int, pool: int = 0) -> CentralElement:
+def nazarov_umeda_I(k: int, n: int) -> CentralElement:
     """I_k(n): multinomially weighted sum of the symmetric row elements
     [n^{h_n}...1^{h_1}|1^{h_1}...n^{h_n}]* built on one negative virtual
     symbol, one per weakly increasing k-tuple with h_j entries equal to j."""
     if k < 1:
         raise ValueError(f"I_k needs k >= 1, got k={k}")
-    b = beta(1 + pool)
-    words: EnvelopingElement = {}
-    for idx in combinations_with_replacement(range(1, n + 1), k):
-        word = tuple((j, b) for j in reversed(idx)) + tuple((b, j) for j in idx)
-        words[word] = _multiplicity_weight(idx)
-    return CentralElement(devirtualize(words), n, f"I:{k}@n={n}")
+    body = _one_row(combinations_with_replacement(range(1, n + 1), k), beta, _multiplicity_weight)
+    return CentralElement(body, n, f"I:{k}@n={n}")
 
 
 def nazarov_umeda_I_cper(k: int, n: int) -> CentralElement:
@@ -270,7 +273,7 @@ def nazarov_umeda_I_cper(k: int, n: int) -> CentralElement:
     return CentralElement(pbw_normal_form(body), n, f"I:{k}@n={n}")
 
 
-def capelli_immanant(mu: Partition, left, right, pool: int = 0) -> EnvelopingElement:
+def capelli_immanant(mu: Partition, left, right) -> EnvelopingElement:
     """Cimm_mu[left;right]: character-weighted sum over permutations pi of the
     column Capelli bitableaux [pi(left)|right]. Permuting the right word
     instead gives the same element; the tests check that."""
@@ -283,12 +286,11 @@ def capelli_immanant(mu: Partition, left, right, pool: int = 0) -> EnvelopingEle
         if not (is_proper(x) and x >= 1):
             raise ValueError(f"immanant words use proper letters, got {x!r}")
     words: EnvelopingElement = {}
-    right_block = tuple((alpha(r + 1 + pool), right[r]) for r in range(h))
+    right_block = _right_block([(x,) for x in right])
     for perm in permutations(range(h)):
         chi = sym_character(mu, permutation_cycle_type(perm))
         if chi:
-            left_block = tuple((left[perm[r]], alpha(r + 1 + pool)) for r in range(h))
-            add_term(words, left_block + right_block, chi)
+            add_term(words, _left_block([(left[r],) for r in perm]) + right_block, chi)
     return devirtualize(words)
 
 
@@ -298,9 +300,7 @@ def eigenvalue(x: CentralElement, mu: Partition) -> Fraction:
     mu = check_partition(mu)
     if len(mu) > x.n:
         raise ValueError(f"weight needs at most n={x.n} rows, got {len(mu)}")
-    mu_t = conjugate(mu)
-    d = mu_t[0] if mu_t else 1
-    v = highest_weight_vector(mu_t, x.n, d)
+    v = highest_weight_vector(conjugate(mu), x.n)
     w = act(x.body, v)
     if not w:
         return Fraction(0)

@@ -5,7 +5,8 @@ suites, and emit JSON.
 Element specs use the grammar "KIND:payload@n=N" with KIND one of S, H, I,
 CB, YC, DYC, CIMM. Partitions are comma-separated ("2,1"), tableaux use the
 row serialization "1 2;3", and multi-field payloads separate fields with
-"|". Exit codes: 0 success, 1 verification failure, 2 usage error.
+"|". Exit codes: 0 success, 1 verification failure, 2 usage error or a
+request that ran out of memory.
 """
 
 from __future__ import annotations
@@ -106,7 +107,7 @@ def build_element(spec: str) -> central.CentralElement:
 
 
 def element_to_json(x: central.CentralElement) -> str:
-    obj = enveloping.element_to_json_obj(x.body, pbw_canonical=True)
+    obj = enveloping.element_to_json_obj(x.body)
     return json.dumps({"kind": "element", "n": x.n, **obj}, sort_keys=True)
 
 
@@ -599,6 +600,9 @@ def main(argv=None) -> int:
     except VerificationFailure as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory; the request is too large", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -95,11 +95,6 @@ def cells(lam: Partition) -> list[Cell]:
     return [(i, j) for i, part in enumerate(lam, 1) for j in range(1, part + 1)]
 
 
-def content(cell: Cell) -> int:
-    i, j = cell
-    return j - i
-
-
 def hook_number(lam: Partition) -> int:
     """Product of hook lengths over all cells; equal for conjugate shapes."""
     lam = tuple(lam)
@@ -108,13 +103,6 @@ def hook_number(lam: Partition) -> int:
     for i, j in cells(lam):
         h *= lam[i - 1] - j + conj[j - 1] - i + 1
     return h
-
-
-def partition_factorial(lam: Partition) -> int:
-    out = 1
-    for part in lam:
-        out *= factorial(part)
-    return out
 
 
 def shape_of(t: Tableau) -> Partition:
@@ -215,26 +203,10 @@ def sym_character(mu: Partition, cycle_type: Partition) -> int:
     return _mn_character(mu, cycle_type)
 
 
-def deruyts(lam: Partition, alphabet: str = "proper") -> Tableau:
-    """Deruyts tableau of shape lam: row r is 1..lam_r in the chosen alphabet.
-
-    alphabet "proper" and "place" use plain integers; "beta" builds the
-    virtual Deruyts tableau with negative symbols indexed by column.
-    """
-    from .superspace import beta
-
-    if alphabet in ("proper", "place"):
-        return tuple(tuple(range(1, part + 1)) for part in lam)
-    if alphabet == "beta":
-        return tuple(tuple(beta(j) for j in range(1, part + 1)) for part in lam)
-    raise ValueError(f"unknown alphabet {alphabet!r}")
-
-
-def coderuyts(lam: Partition) -> Tableau:
-    """Virtual Coderuyts tableau: row r constant, a distinct positive symbol."""
-    from .superspace import alpha
-
-    return tuple(tuple(alpha(r) for _ in range(part)) for r, part in enumerate(lam, 1))
+def deruyts(lam: Partition) -> Tableau:
+    """Deruyts tableau of shape lam: row r is 1..lam_r, as letters or as
+    places."""
+    return tuple(tuple(range(1, part + 1)) for part in lam)
 
 
 def parse_tableau(s: str) -> Tableau:
@@ -249,12 +221,6 @@ def parse_tableau(s: str) -> Tableau:
     if not is_partition(shape_of(t)):
         raise ValueError(f"rows do not form a partition shape: {s!r}")
     return t
-
-
-def format_tableau(t: Tableau) -> str:
-    from .superspace import format_symbol
-
-    return ";".join(" ".join(format_symbol(x) for x in row) for row in t)
 
 
 def permutation_sign(perm) -> int:

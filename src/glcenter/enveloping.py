@@ -10,14 +10,15 @@ so they stay plain ints until a caller scales by a non-integer. The
 polarization action `act` applies each distinct right factor of its input
 once per call, so words that end alike share that work.
 
-Devirtualization sends a balanced virtual word to its proper image: the
-leftmost factor whose column symbol is virtual is pushed rightward with
-supercommutator swaps, contraction terms shorten the word, and a word whose
-tracked factor reaches the right end (annihilating a symbol that was never
-created) is dropped. The push is a loop over the factors to the right of the
-tracked one; only the shorter contraction words recurse. The result for a
-balanced input is free of virtual symbols; a surviving virtual symbol means
-the input was not balanced.
+Devirtualization sends a balanced virtual word to its proper image in PBW
+normal form, in one rewriting pass: the leftmost factor whose column symbol
+is virtual is pushed rightward with supercommutator swaps, contraction terms
+shorten the word, and a word whose tracked factor reaches the right end
+(annihilating a symbol that was never created) is dropped. The push is a
+loop over the factors to the right of the tracked one; only the shorter
+contraction words recurse. A word with no virtual column symbol left is
+replaced by its PBW normal form, unless a virtual row symbol is left in it:
+then the input was not balanced, and devirtualization raises.
 """
 
 from __future__ import annotations
@@ -140,12 +141,6 @@ def pbw_normal_form(x: EnvelopingElement) -> EnvelopingElement:
         for g in word:
             if not (is_proper(g[0]) and is_proper(g[1])):
                 raise ValueError(f"non-proper generator in PBW input: {g}")
-    return _pbw_normal_form(x)
-
-
-def _pbw_normal_form(x: EnvelopingElement) -> EnvelopingElement:
-    """`pbw_normal_form` of an x whose generators the caller knows are
-    proper."""
     out: EnvelopingElement = {}
     for word, coeff in x.items():
         add_into(out, _pbw_word(word), coeff)
@@ -167,16 +162,12 @@ def is_irregular(word: Word) -> bool:
     return False
 
 
-def random_balanced_word(rng, n: int, max_len: int = 6, alphas: int = 2, betas: int = 2) -> Word:
-    """Random word in the virtual algebra over proper letters 1..n: every
-    virtual symbol is created before annihilated and fully consumed, and at
-    least one factor touches a virtual symbol."""
-    pool = (
-        list(range(1, n + 1))
-        + [alpha(t + 1) for t in range(alphas)]
-        + [beta(t + 1) for t in range(betas)]
-    )
-    weights = [2] * n + [1] * (alphas + betas)
+def random_balanced_word(rng, n: int, max_len: int = 6) -> Word:
+    """Random word over proper letters 1..n and alpha_1, alpha_2, beta_1,
+    beta_2: every virtual symbol is created before annihilated and fully
+    consumed, and at least one factor touches a virtual symbol."""
+    pool = list(range(1, n + 1)) + [alpha(1), alpha(2), beta(1), beta(2)]
+    weights = [2] * n + [1] * 4
     while True:
         length = rng.randint(2, max_len)
         word = tuple(
@@ -199,17 +190,21 @@ _devirt_cache: dict = {}
 
 
 def _devirt_word(word: Word) -> EnvelopingElement:
-    """Image of one word. The first factor g = e_{a,v} with a virtual column
-    symbol v moves right past each later factor h, collecting the Koszul
-    sign of the swaps made so far; each step adds the contraction terms
-    sign * [g, h] in place of the pair, and g contributes nothing once it
-    falls off the right end."""
+    """Image of one word, in PBW normal form. The first factor g = e_{a,v}
+    with a virtual column symbol v moves right past each later factor h,
+    collecting the Koszul sign of the swaps made so far; each step adds the
+    contraction terms sign * [g, h] in place of the pair, and g contributes
+    nothing once it falls off the right end. A word with no virtual column
+    symbol is normalized, unless a virtual row symbol is left: that raises."""
     cached = _devirt_cache.get(word)
     if cached is not None:
         return cached
     k = next((k for k, g in enumerate(word) if not is_proper(g[1])), None)
     if k is None:
-        result = {word: 1}
+        for a, b in word:
+            if not is_proper(a):
+                raise ValueError(f"input is not balanced: virtual generator {(a, b)} survives")
+        result = _pbw_word(word)
     else:
         g = word[k]
         a, v = g
@@ -230,17 +225,12 @@ def _devirt_word(word: Word) -> EnvelopingElement:
 
 def devirtualize(x: EnvelopingElement) -> EnvelopingElement:
     """Image of a combination of balanced monomials in U(gl(n)), in PBW
-    normal form. Raises when a virtual symbol survives."""
-    acc: EnvelopingElement = {}
+    normal form: the sum of the images of its words. Raises when a word
+    leaves a virtual row symbol that nothing annihilates (not balanced)."""
+    out: EnvelopingElement = {}
     for word, coeff in x.items():
-        add_into(acc, _devirt_word(word), coeff)
-    for word in acc:
-        for a, b in word:
-            if not (is_proper(a) and is_proper(b)):
-                raise ValueError(
-                    f"input is not balanced: virtual generator {(a, b)} survives"
-                )
-    return _pbw_normal_form(acc)
+        add_into(out, _devirt_word(word), coeff)
+    return out
 
 
 def adjoint(g: Gen, x: EnvelopingElement) -> EnvelopingElement:
@@ -288,7 +278,7 @@ def format_element(x: EnvelopingElement) -> str:
     )
 
 
-def element_to_json_obj(x: EnvelopingElement, pbw_canonical: bool) -> dict:
+def element_to_json_obj(x: EnvelopingElement) -> dict:
     terms = []
     for word in sorted(x, key=word_sort_key):
         terms.append(
@@ -297,7 +287,7 @@ def element_to_json_obj(x: EnvelopingElement, pbw_canonical: bool) -> dict:
                 "coeff": str(x[word]),
             }
         )
-    return {"terms": terms, "pbw_canonical": pbw_canonical}
+    return {"terms": terms, "pbw_canonical": True}
 
 
 def element_from_json_obj(obj: dict) -> EnvelopingElement:

@@ -25,7 +25,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .combinatorics import permutation_sign
+from .combinatorics import deruyts, enumerate_standard_proper, permutation_sign
 from .lincomb import add_into, add_term
 
 Sym = Union[int, tuple]
@@ -175,13 +175,13 @@ def bitableau(S, T) -> SuperPolynomial:
     return p
 
 
-def highest_weight_vector(lam, n: int, d: int) -> SuperPolynomial:
+def highest_weight_vector(lam, n: int) -> SuperPolynomial:
     """(D_lam | D^P_lam): the canonical highest weight vector of the Schur
-    module of shape lam inside C[M_{n,d}]; its weight is conjugate(lam)."""
+    module of shape lam inside C[M_{n,lam_1}]; its weight is conjugate(lam)."""
     lam = tuple(lam)
-    if lam and (lam[0] > n or lam[0] > d):
-        raise ValueError(f"shape {lam} needs lam_1 <= n={n} and <= d={d}")
-    rows = tuple(tuple(range(1, part + 1)) for part in lam)
+    if lam and lam[0] > n:
+        raise ValueError(f"shape {lam} needs lam_1 <= n={n}")
+    rows = deruyts(lam)
     return bitableau(rows, rows)
 
 
@@ -254,22 +254,21 @@ def span_dimension(polys) -> int:
     return rank(rows)
 
 
-def schur_module_dimension(lam, n: int, d: int) -> int:
+def schur_module_dimension(lam, n: int) -> int:
     """Rank of the span of all bitableaux (X|D^P_lam), X over {1..n}."""
     lam = tuple(lam)
-    dp = tuple(tuple(range(1, part + 1)) for part in lam)
+    dp = deruyts(lam)
     xs = itertools.product(*(itertools.product(range(1, n + 1), repeat=part) for part in lam))
     return span_dimension([bitableau(tuple(x), dp) for x in xs])
 
 
-def straighten_oracle(p: SuperPolynomial, lam, n: int, d: int) -> dict:
+def straighten_oracle(p: SuperPolynomial, lam, n: int) -> dict:
     """Coordinates of p in the standard basis {(S|D^P_lam)}, by exact linear
     algebra. Raises if p is outside the span."""
-    from .combinatorics import enumerate_standard_proper
     from .linalg import solve
 
     lam = tuple(lam)
-    dp = tuple(tuple(range(1, part + 1)) for part in lam)
+    dp = deruyts(lam)
     standard = enumerate_standard_proper(lam, n)
     basis = [bitableau(S, dp) for S in standard]
     monos, cols = _coordinate_matrix(basis + [p])

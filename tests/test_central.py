@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 import pytest
 
@@ -23,6 +23,7 @@ from glcenter.central import (
 )
 from glcenter.combinatorics import (
     conjugate,
+    enumerate_row_increasing,
     hook_number,
     partitions_of,
     partitions_upto,
@@ -134,17 +135,40 @@ def test_capelli_bitableau_shape_mismatch():
         capelli_bitableau(((0,),), ((1,),))
 
 
+def _row_words(tuples, virtual, weight):
+    """The one-row words of H_k (virtual = alpha) and I_k (virtual = beta)."""
+    words = {}
+    for idx in tuples:
+        words[tuple((i, virtual) for i in reversed(idx)) + tuple((virtual, i) for i in idx)] = weight(idx)
+    return words
+
+
 def test_pool_independence():
+    # the image does not depend on which virtual symbols are chosen: the
+    # constructors, on alpha_1, alpha_2, ... and beta_1, equal the words
+    # written on symbols shifted by an offset
     s, t = ((1, 2), (2,)), ((1, 2), (1,))
-    assert capelli_bitableau(s, t) == capelli_bitableau(s, t, pool=5)
-    assert young_capelli(s, t) == young_capelli(s, t, pool=5)
-    assert double_young_capelli(s, t) == double_young_capelli(s, t, pool=5)
-    assert capelli_H(2, 2).body == capelli_H(2, 2, pool=3).body
-    assert nazarov_umeda_I(2, 2).body == nazarov_umeda_I(2, 2, pool=3).body
-    assert schur_element((2,), 2).body == schur_element((2,), 2, pool=3).body
-    assert capelli_immanant((2,), (1, 2), (1, 2)) == capelli_immanant(
-        (2,), (1, 2), (1, 2), pool=4
-    )
+    for pool in (0, 5):
+        assert capelli_bitableau(s, t) == devirtualize({_block_SC(s, pool) + _block_CT(t, pool): 1})
+        assert young_capelli(s, t) == devirtualize({_yc_word(s, t, pool): 1})
+        assert double_young_capelli(s, t) == devirtualize({_dyc_word(s, t, pool): 1})
+        h_words = _row_words(combinations((1, 2), 2), alpha(1 + pool), lambda idx: 1)
+        assert capelli_H(2, 2).body == devirtualize(h_words)
+        i_words = _row_words(
+            combinations_with_replacement((1, 2), 2),
+            beta(1 + pool),
+            lambda idx: Fraction(1, 2 if idx[0] == idx[1] else 1),
+        )
+        assert nazarov_umeda_I(2, 2).body == devirtualize(i_words)
+        # S_(2)(2) is 1/H((1,1)) times the sum of [box S|S] over the
+        # row-increasing S of shape (1,1)
+        dyc = {}
+        for S in enumerate_row_increasing((1, 1), 2):
+            add_term(dyc, _dyc_word(S, S, pool), Fraction(1, hook_number((1, 1))))
+        assert schur_element((2,), 2).body == devirtualize(dyc)
+        assert capelli_immanant((2,), (1, 2), (1, 2)) == devirtualize(
+            _immanant_right_form((2,), (1, 2), (1, 2), pool)
+        )
 
 
 def test_young_capelli_routes_agree():
@@ -159,12 +183,12 @@ def test_young_capelli_routes_agree():
     for lam in partitions_upto(3, include_empty=False):
         cases += [(_filling(rng, lam), _filling(rng, lam)) for _ in range(3)]
     for s, t in cases:
-        assert young_capelli(s, t, pool=5) == devirtualize({_yc_word(s, t, 5): 1})
-        assert double_young_capelli(s, t, pool=5) == devirtualize({_dyc_word(s, t, 5): 1})
+        assert young_capelli(s, t) == devirtualize({_yc_word(s, t, 5): 1})
+        assert double_young_capelli(s, t) == devirtualize({_dyc_word(s, t, 5): 1})
     for lam in [(2, 2), (3, 1)]:
         for _ in range(3):
             s, t = _filling(rng, lam), _filling(rng, lam)
-            assert young_capelli(s, t, pool=5) == devirtualize({_yc_word(s, t, 5): 1})
+            assert young_capelli(s, t) == devirtualize({_yc_word(s, t, 5): 1})
 
 
 def test_young_capelli_action_matches_virtual_word():
@@ -258,7 +282,7 @@ def test_capelli_immanant_fixtures():
         words += [(tuple(rng.sample((1, 2, 3), h)), tuple(rng.sample((1, 2, 3), h))) for _ in range(3)]
         for mu in partitions_of(h):
             for left, right in words:
-                assert capelli_immanant(mu, left, right, pool=5) == devirtualize(
+                assert capelli_immanant(mu, left, right) == devirtualize(
                     _immanant_right_form(mu, left, right, 5)
                 )
 
@@ -395,7 +419,7 @@ def test_integer_coefficients_stay_integers():
     for body in [
         schur_element_hc((2, 1), 4).body,
         capelli_H_cdet(3, 4).body,
-        highest_weight_vector((2, 1), 3, 2),
+        highest_weight_vector((2, 1), 3),
     ]:
         assert body and {type(c) for c in body.values()} == {int}
 

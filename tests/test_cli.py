@@ -1,5 +1,11 @@
 import json
+import os
+import resource
+import shlex
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -313,3 +319,43 @@ def test_verify_hc_labels(capsys):
         "PASS hc-s* S:1@n=1\n"
         "suite hc: 3/3 passed\n"
     )
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_readme_command_examples(capsys):
+    # every command of the README's "Command line" block that is followed by
+    # a "# " line prints exactly that line
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    checked = 0
+    for command, shown in zip(lines, lines[1:]):
+        if command.startswith("glcenter ") and shown.startswith("# "):
+            argv = shlex.split(command.split("  #", 1)[0])[1:]
+            assert run(capsys, *argv) == (0, shown[2:] + "\n", ""), command
+            checked += 1
+    assert checked == 5
+
+
+def _limit_address_space():
+    limit = 1_500_000 * 1024  # bytes; ulimit -v 1500000
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize("spec", ["S:1@n=99999999999", "H:1@n=99999999999", "I:2@n=99999999999"])
+def test_out_of_memory_is_one_line_and_exit_2(spec):
+    # only ever run in a child process whose address space is limited: the
+    # request would otherwise try to take all of the machine's memory
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "glcenter", "element", "--spec", spec],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+        preexec_fn=_limit_address_space,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: out of memory; the request is too large\n"

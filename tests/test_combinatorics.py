@@ -9,10 +9,8 @@ from glcenter.combinatorics import (
     Strip,
     cells,
     check_partition,
-    coderuyts,
     conjugate,
     contains,
-    content,
     deruyts,
     enumerate_horizontal_strips,
     enumerate_row_increasing,
@@ -20,12 +18,10 @@ from glcenter.combinatorics import (
     enumerate_standard_proper,
     enumerate_vertical_strips,
     format_partition,
-    format_tableau,
     hook_number,
     is_partition,
     parse_partition,
     parse_tableau,
-    partition_factorial,
     partitions_of,
     partitions_upto,
     permutation_cycle_type,
@@ -35,7 +31,8 @@ from glcenter.combinatorics import (
     strip_factorial,
     sym_character,
 )
-from glcenter.superspace import alpha, beta
+from glcenter.central import _left_block
+from glcenter.superspace import alpha
 
 
 partition_strategy = st.builds(
@@ -135,18 +132,6 @@ def test_partition_enumeration_order():
         assert len(set(partitions_of(m))) == len(partitions_of(m))
 
 
-def test_partition_factorial():
-    assert partition_factorial(()) == 1
-    assert partition_factorial((3, 1)) == 6
-    assert partition_factorial((2, 2, 1)) == 4
-
-
-def test_content():
-    assert content((1, 1)) == 0
-    assert content((1, 3)) == 2
-    assert content((3, 1)) == -2
-
-
 def test_enumerate_row_increasing_counts():
     # independent strictly increasing rows: product of binomials
     assert len(enumerate_row_increasing((2, 2), 3)) == 9
@@ -171,8 +156,8 @@ def test_enumerate_rssyt_counts_match_weyl_dimension():
     # bijection with semistandard tableaux, counted by the content formula
     def weyl_dim(lam, n):
         num = 1
-        for c in cells(lam):
-            num *= n + content(c)
+        for i, j in cells(lam):
+            num *= n + j - i
         return num // hook_number(lam)
 
     for lam in [(1,), (2,), (1, 1), (2, 1), (2, 2), (3, 1)]:
@@ -298,16 +283,14 @@ def test_sym_character_size_mismatch():
 
 def test_deruyts_coderuyts():
     assert deruyts((2, 1)) == ((1, 2), (1,))
-    assert deruyts((2, 1), "beta") == ((beta(1), beta(2)), (beta(1),))
-    assert coderuyts((2, 1)) == ((alpha(1), alpha(1)), (alpha(2),))
-    with pytest.raises(ValueError):
-        deruyts((1,), "gamma")
+    # the Coderuyts tableau C* repeats alpha_r on row r: the left block
+    # e_{S,C*} of the central constructors pairs each entry with it
+    assert _left_block(((1, 2), (3,))) == ((1, alpha(1)), (2, alpha(1)), (3, alpha(2)))
 
 
 def test_parse_tableau():
     assert parse_tableau("1 2;3") == ((1, 2), (3,))
     assert shape_of(parse_tableau("1 2;3")) == (2, 1)
-    assert format_tableau(((1, 2), (3,))) == "1 2;3"
     with pytest.raises(ValueError):
         parse_tableau("1;2 3")  # rows must form a partition shape
     with pytest.raises(ValueError):
