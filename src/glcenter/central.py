@@ -5,18 +5,23 @@ devirtualized image of e_{S,C*} e_{C*,T}, where the Coderuyts tableau C* has
 the positive symbol alpha_r on row r; `_left_block` and `_right_block` write
 the words of every constructor. The image does not depend on which virtual
 symbols are chosen, so no constructor takes an offset for them. A
-Young-Capelli bitableau [S|box T] is built as its expansion, the column
-symmetrization of Capelli words, and a double Young-Capelli bitableau
-[box S|T] as the signed row symmetrization of Young-Capelli expansions; each
-constructor devirtualizes one combination of words. The paper's direct
-virtual words, with the virtual-Deruyts exchange blocks e_{C*,D*} and
-e_{D*,C*}, are the reference the tests compare against. Schur elements are
-normalized sums of double Young-Capelli bitableaux [box S|S] and specialize
-to the determinantal generators H_k(n) (column shapes) and the permanental
-generators I_k(n) (row shapes). H_k(n) and I_k(n) are one row construction,
-made on a positive and on a negative virtual symbol. `schur_element_hc`
-builds the same element as the Harish-Chandra preimage of s*_lam, the route
-the CLI takes.
+Young-Capelli bitableau [S|box T] is the column symmetrization of Capelli
+words, and a double Young-Capelli bitableau [box S|T] the signed row
+symmetrization of Young-Capelli bitableaux. `_symmetrizer` runs the group
+once per shape into a table of the cells each row of C* reads and their
+summed signs, and the words for one (S, T) are read off that table;
+`schur_element` builds its table once and reuses it for every S. Each
+bitableau constructor devirtualizes one combination of words. The tests
+compare with two references: the full group enumeration, one sorted word
+per group element, and the paper's direct virtual words, with the
+virtual-Deruyts exchange blocks e_{C*,D*} and e_{D*,C*}.
+
+Schur elements are normalized sums of double Young-Capelli bitableaux
+[box S|S] and specialize to the determinantal generators H_k(n) (column
+shapes) and the permanental generators I_k(n) (row shapes). H_k(n) and
+I_k(n) are one row construction, made on a positive and on a negative
+virtual symbol. `schur_element_hc` builds the same element as the
+Harish-Chandra preimage of s*_lam, the route the CLI takes.
 """
 
 from __future__ import annotations
@@ -95,30 +100,6 @@ def capelli_bitableau(S, T) -> EnvelopingElement:
     return devirtualize({_left_block(S) + _right_block(T): 1})
 
 
-def _column_permuted(T: Tableau):
-    """All tableaux obtained by permuting the entries of each column,
-    enumerated over the full column permutation group."""
-    shape = shape_of(T)
-    heights = conjugate(shape)
-    for pis in product(*(permutations(range(h)) for h in heights)):
-        yield tuple(
-            tuple(T[pis[c][r]][c] for c in range(shape[r])) for r in range(len(shape))
-        )
-
-
-def _row_permuted(T: Tableau):
-    """All (sign, tableau) pairs for the row permutation group; the sign is
-    the product of the signatures."""
-    shape = shape_of(T)
-    for pis in product(*(permutations(range(length)) for length in shape)):
-        sign = 1
-        for pi in pis:
-            sign *= permutation_sign(pi)
-        yield sign, tuple(
-            tuple(T[r][pis[r][c]] for c in range(shape[r])) for r in range(len(shape))
-        )
-
-
 def _sorted_odd(factors: tuple):
     """(sign, factors sorted by key) for pairwise-anticommuting odd
     generators; None when a factor repeats (an odd element squares to zero)."""
@@ -128,25 +109,58 @@ def _sorted_odd(factors: tuple):
     return permutation_sign(keys), tuple(g for _, g in sorted(zip(keys, factors)))
 
 
-def _yc_expansion(S: Tableau, T: Tableau) -> EnvelopingElement:
-    """Column-symmetrized sum of Capelli words, not yet devirtualized; the
-    blocks e_{S,C*} and e_{C*,T'} of each word sort independently."""
-    acc: EnvelopingElement = {}
+def _symmetrizer(shape: Partition, rows: bool) -> list:
+    """The column symmetrizer of a shape, after the signed row symmetrizer
+    times (-1)^(h(h-1)/2), h = |shape|, when rows is set, as a table of
+    (cells, coefficient). A group element pi sends T to T' = pi(T); cells
+    lists, for each row of T', the sorted positions (i, j) of T whose entries
+    fill that row. The coefficient sums sign(pi) times the sign that sorts
+    each row's positions from column order, over the pi that give these
+    cells; an entry whose sum is 0 is dropped."""
+    h = size(shape)
+    global_sign = -1 if rows and h * (h - 1) // 2 % 2 else 1
+    row_perms = (permutations(range(length)) for length in shape)
+    row_group = product(*row_perms) if rows else [tuple(map(range, shape))]
+    table: dict = {}
+    for rhos in row_group:
+        sign = global_sign * prod(map(permutation_sign, rhos))
+        for sigmas in product(*(permutations(range(height)) for height in conjugate(shape))):
+            key, s = [], sign
+            for r, length in enumerate(shape):
+                # T'[r][c] = T[i][rho_i(c)] with i = sigma_c(r)
+                cells = [(sigmas[c][r], rhos[sigmas[c][r]][c]) for c in range(length)]
+                s *= permutation_sign(cells)
+                key.append(tuple(sorted(cells)))
+            add_term(table, tuple(key), s)
+    return list(table.items())
+
+
+def _symmetrized_words(table: list, S: Tableau, T: Tableau) -> EnvelopingElement:
+    """The words of [S|T] symmetrized by a `_symmetrizer` table: e_{S,C*}
+    sorted, then row r of C* against the entries of T at the cells of row r,
+    sorted. A row that repeats a letter makes its word zero."""
+    words: EnvelopingElement = {}
     left = _sorted_odd(_left_block(S))
     if left is None:
-        return acc
-    for Tbar in _column_permuted(T):
-        right = _sorted_odd(_right_block(Tbar))
-        if right is not None:
-            add_term(acc, left[1] + right[1], left[0] * right[0])
-    return acc
+        return words
+    for cells, coeff in table:
+        sign, sorted_rows = left[0] * coeff, []
+        for row in cells:
+            letters = [T[i][j] for i, j in row]
+            if len(set(letters)) < len(letters):
+                break
+            sign *= permutation_sign(letters)
+            sorted_rows.append(sorted(letters))
+        else:
+            add_term(words, left[1] + _right_block(sorted_rows), sign)
+    return words
 
 
 def young_capelli(S, T) -> EnvelopingElement:
     """[S|box T]: column symmetrization of [S|T], the sum of the Capelli
     bitableaux [S|T'] over the column permutations T' of T."""
     S, T = _check_bitableau(S, T)
-    return devirtualize(_yc_expansion(S, T))
+    return devirtualize(_symmetrized_words(_symmetrizer(shape_of(T), rows=False), S, T))
 
 
 def double_young_capelli(S, T) -> EnvelopingElement:
@@ -154,12 +168,7 @@ def double_young_capelli(S, T) -> EnvelopingElement:
     sum of sign(pi) [S|box T'] over the row permutations T' = pi(T), times
     (-1)^(h(h-1)/2) for h = |shape|."""
     S, T = _check_bitableau(S, T)
-    h = size(shape_of(S))
-    global_sign = -1 if (h * (h - 1) // 2) % 2 else 1
-    acc: EnvelopingElement = {}
-    for sign, Ts in _row_permuted(T):
-        add_into(acc, _yc_expansion(S, Ts), global_sign * sign)
-    return devirtualize(acc)
+    return devirtualize(_symmetrized_words(_symmetrizer(shape_of(T), rows=True), S, T))
 
 
 def _schur_shape(lam: Partition, n: int) -> tuple:
@@ -177,9 +186,10 @@ def schur_element(lam: Partition, n: int) -> CentralElement:
     of shape lam~ with entries in 1..n. This is the definition, which
     `verify` and the tests build S by."""
     lam, lam_t = _schur_shape(lam, n)
+    table = _symmetrizer(lam_t, rows=True)
     body: EnvelopingElement = {}
     for S in enumerate_row_increasing(lam_t, n):
-        add_into(body, double_young_capelli(S, S))
+        add_into(body, devirtualize(_symmetrized_words(table, S, S)))
     body = scale(body, Fraction(1, hook_number(lam_t)))
     return CentralElement(body, n, f"S:{format_partition(lam)}@n={n}")
 

@@ -536,8 +536,15 @@ def _add_element_flags(p) -> None:
     p.add_argument("--n", type=int, help="proper alphabet size for --lambda/--k")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors, its subparsers' included, are one stderr line, exit 2."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="glcenter",
         description="Exact computations in the center of U(gl(n)).",
     )

@@ -12,18 +12,22 @@ once per call, so words that end alike share that work.
 
 Devirtualization sends a balanced virtual word to its proper image in PBW
 normal form, in one rewriting pass: the leftmost factor whose column symbol
-is virtual is pushed rightward with supercommutator swaps, contraction terms
-shorten the word, and a word whose tracked factor reaches the right end
-(annihilating a symbol that was never created) is dropped. The push is a
-loop over the factors to the right of the tracked one; only the shorter
-contraction words recurse. A word with no virtual column symbol left is
-replaced by its PBW normal form, unless a virtual row symbol is left in it:
-then the input was not balanced, and devirtualization raises.
+is virtual is pushed rightward, each swap adding the contraction terms of a
+supercommutator, which shorten the word, and a word whose tracked factor
+reaches the right end (annihilating a symbol that was never created) is
+dropped. The push is a loop over the factors to the right of the tracked
+one; only the shorter contraction words recurse. A word with no virtual
+column symbol left is replaced by its PBW normal form, unless a virtual row
+symbol is left in it: then the input was not balanced, and devirtualization
+raises. Both rewriting loops, the push and the PBW sort, write the one or
+two bracket terms in place, and the push tests symbol classes inline, with
+no helper call per step; `supercommutator` serves `adjoint` and the tests.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 
 from .lincomb import add_into, add_term, format_terms
 from .superspace import (
@@ -116,19 +120,24 @@ _pbw_cache: dict = {}
 
 def _pbw_word(word: Word) -> EnvelopingElement:
     """Normal form of one proper word: lowering, Cartan, raising blocks left
-    to right, weakly increasing lexicographically inside each block."""
+    to right, weakly increasing lexicographically inside each block. The
+    first descent g h is rewritten as h g + [g, h], with the even bracket
+    [e_{a,b}, e_{c,d}] = d_{bc} e_{a,d} - d_{ad} e_{c,b}."""
     cached = _pbw_cache.get(word)
     if cached is not None:
         return cached
+    keys = list(map(pbw_key, word))
     result = None
     for k in range(len(word) - 1):
-        if pbw_key(word[k]) > pbw_key(word[k + 1]):
-            g, h = word[k], word[k + 1]
-            out: EnvelopingElement = {}
-            add_into(out, _pbw_word(word[:k] + (h, g) + word[k + 2 :]))
-            for (gen,), c in supercommutator(g, h).items():
-                add_into(out, _pbw_word(word[:k] + (gen,) + word[k + 2 :]), c)
-            result = out
+        if keys[k] > keys[k + 1]:
+            (a, b), (c, d) = g, h = word[k], word[k + 1]
+            head, tail = word[:k], word[k + 2 :]
+            result = {}
+            add_into(result, _pbw_word(head + (h, g) + tail))
+            if b == c:
+                add_into(result, _pbw_word(head + ((a, d),) + tail))
+            if a == d:
+                add_into(result, _pbw_word(head + ((c, b),) + tail), -1)
             break
     if result is None:
         result = {word: 1}
@@ -138,9 +147,9 @@ def _pbw_word(word: Word) -> EnvelopingElement:
 
 def pbw_normal_form(x: EnvelopingElement) -> EnvelopingElement:
     for word in x:
-        for g in word:
-            if not (is_proper(g[0]) and is_proper(g[1])):
-                raise ValueError(f"non-proper generator in PBW input: {g}")
+        for a, b in word:
+            if type(a) is not int or type(b) is not int:
+                raise ValueError(f"non-proper generator in PBW input: {(a, b)}")
     out: EnvelopingElement = {}
     for word, coeff in x.items():
         add_into(out, _pbw_word(word), coeff)
@@ -167,19 +176,17 @@ def random_balanced_word(rng, n: int, max_len: int = 6) -> Word:
     beta_2: every virtual symbol is created before annihilated and fully
     consumed, and at least one factor touches a virtual symbol."""
     pool = list(range(1, n + 1)) + [alpha(1), alpha(2), beta(1), beta(2)]
-    weights = [2] * n + [1] * 4
+    cum_weights = list(accumulate([2] * n + [1] * 4))
     while True:
         length = rng.randint(2, max_len)
-        word = tuple(
-            (rng.choices(pool, weights)[0], rng.choices(pool, weights)[0])
-            for _ in range(length)
-        )
+        symbols = rng.choices(pool, cum_weights=cum_weights, k=2 * length)
+        word = tuple(zip(symbols[::2], symbols[1::2]))
         created: dict = {}
         annihilated: dict = {}
         for a, b in word:
-            if not is_proper(a):
+            if type(a) is not int:
                 created[a] = created.get(a, 0) + 1
-            if not is_proper(b):
+            if type(b) is not int:
                 annihilated[b] = annihilated.get(b, 0) + 1
         if not created or created != annihilated or is_irregular(word):
             continue
@@ -191,33 +198,38 @@ _devirt_cache: dict = {}
 
 def _devirt_word(word: Word) -> EnvelopingElement:
     """Image of one word, in PBW normal form. The first factor g = e_{a,v}
-    with a virtual column symbol v moves right past each later factor h,
-    collecting the Koszul sign of the swaps made so far; each step adds the
-    contraction terms sign * [g, h] in place of the pair, and g contributes
-    nothing once it falls off the right end. A word with no virtual column
-    symbol is normalized, unless a virtual row symbol is left: that raises."""
+    with a virtual column symbol v moves right past each later factor
+    h = e_{c,d}, collecting the Koszul sign of the swaps made so far; each
+    step adds sign * [g, h] = sign * (d_{vc} e_{a,d} - (-1)^{|g||h|} d_{ad}
+    e_{c,v}) in place of the pair, and g contributes nothing once it falls
+    off the right end. A word with no virtual column symbol is normalized,
+    unless a virtual row symbol is left: that raises. A symbol is odd when
+    it is a proper letter or a negative virtual symbol ("b")."""
     cached = _devirt_cache.get(word)
     if cached is not None:
         return cached
-    k = next((k for k, g in enumerate(word) if not is_proper(g[1])), None)
+    k = next((k for k, g in enumerate(word) if type(g[1]) is not int), None)
     if k is None:
         for a, b in word:
-            if not is_proper(a):
+            if type(a) is not int:
                 raise ValueError(f"input is not balanced: virtual generator {(a, b)} survives")
         result = _pbw_word(word)
     else:
-        g = word[k]
-        a, v = g
-        g_odd = gen_degree(g)
+        a, v = g = word[k]
+        g_odd = (type(a) is int or a[0] == "b") != (v[0] == "b")
         result = {}
         sign = 1
         for j in range(k + 1, len(word)):
-            h = word[j]
-            if v == h[0] or a == h[1]:  # otherwise [g, h] = 0
-                head = word[:k] + word[k + 1 : j]
-                for (gen,), c in supercommutator(g, h).items():
-                    add_into(result, _devirt_word(head + (gen,) + word[j + 1 :]), sign * c)
-            if g_odd and gen_degree(h):
+            c, d = h = word[j]
+            both_odd = g_odd and (type(c) is int or c[0] == "b") != (type(d) is int or d[0] == "b")
+            # [g, h] = 0 unless v = c or a = d; h = g there only for the even e_{v,v}
+            if (v == c or a == d) and h != g:
+                head, tail = word[:k] + word[k + 1 : j], word[j + 1 :]
+                if v == c:
+                    add_into(result, _devirt_word(head + ((a, d),) + tail), sign)
+                if a == d:
+                    add_into(result, _devirt_word(head + ((c, v),) + tail), sign if both_odd else -sign)
+            if both_odd:
                 sign = -sign
     _devirt_cache[word] = result
     return result

@@ -6,6 +6,11 @@ import pytest
 
 from glcenter.central import (
     CentralElement,
+    _left_block,
+    _right_block,
+    _sorted_odd,
+    _symmetrized_words,
+    _symmetrizer,
     capelli_H,
     capelli_H_cdet,
     capelli_bitableau,
@@ -28,6 +33,7 @@ from glcenter.combinatorics import (
     partitions_of,
     partitions_upto,
     permutation_cycle_type,
+    permutation_sign,
     shape_of,
     size,
     sym_character,
@@ -189,6 +195,77 @@ def test_young_capelli_routes_agree():
         for _ in range(3):
             s, t = _filling(rng, lam), _filling(rng, lam)
             assert young_capelli(s, t) == devirtualize({_yc_word(s, t, 5): 1})
+
+
+# The expansions by full group enumeration: every row permutation times
+# every column permutation, each word sorted on its own. The constructors
+# group the same sum by a symmetrizer table per shape; this is its reference.
+
+
+def _column_permuted(T):
+    shape = shape_of(T)
+    for pis in product(*(permutations(range(h)) for h in conjugate(shape))):
+        yield tuple(tuple(T[pis[c][r]][c] for c in range(shape[r])) for r in range(len(shape)))
+
+
+def _row_permuted(T):
+    shape = shape_of(T)
+    for pis in product(*(permutations(range(length)) for length in shape)):
+        sign = 1
+        for pi in pis:
+            sign *= permutation_sign(pi)
+        yield sign, tuple(tuple(T[r][pis[r][c]] for c in range(shape[r])) for r in range(len(shape)))
+
+
+def _reference_yc_expansion(S, T):
+    acc = {}
+    left = _sorted_odd(_left_block(S))
+    if left is not None:
+        for Tbar in _column_permuted(T):
+            right = _sorted_odd(_right_block(Tbar))
+            if right is not None:
+                add_term(acc, left[1] + right[1], left[0] * right[0])
+    return acc
+
+
+def _reference_dyc_expansion(S, T):
+    h = size(shape_of(S))
+    global_sign = -1 if (h * (h - 1) // 2) % 2 else 1
+    acc = {}
+    for sign, Ts in _row_permuted(T):
+        add_into(acc, _reference_yc_expansion(S, Ts), global_sign * sign)
+    return acc
+
+
+def test_symmetrizer_table_sizes():
+    # (row group x column group) elements -> nonzero table entries
+    assert len(_symmetrizer((2, 2), rows=True)) == 6  # 16 elements
+    assert len(_symmetrizer((3, 1), rows=True)) == 4  # 12
+    assert len(_symmetrizer((4,), rows=True)) == 1  # 24
+    assert len(_symmetrizer((3, 2, 1), rows=True)) == 57  # 144
+
+
+def _letters(rng, shape, n):
+    """Rows of letters from 1..n, repeats allowed."""
+    return tuple(tuple(rng.randint(1, n) for _ in range(length)) for length in shape)
+
+
+def test_symmetrizer_matches_full_enumeration():
+    # seeded S != T with repeated letters, so rows can repeat a letter and
+    # different group elements meet on one word
+    rng = random.Random("symmetrizer")
+    for lam in partitions_upto(5, include_empty=False):
+        for n in (2, 3, 4):
+            S = T = None
+            while S == T:
+                S, T = _letters(rng, lam, n), _letters(rng, lam, n)
+            for rows, reference in [(False, _reference_yc_expansion), (True, _reference_dyc_expansion)]:
+                assert _symmetrized_words(_symmetrizer(lam, rows), S, T) == reference(S, T), (lam, n, rows)
+    for lam in [(2, 1), (2, 2), (3, 2), (2, 2, 1)]:
+        for n in (3, 4):
+            S, T = _letters(rng, lam, n), _letters(rng, lam, n)
+            assert young_capelli(S, T) == devirtualize(_reference_yc_expansion(S, T)), (S, T)
+            assert double_young_capelli(S, T) == devirtualize(_reference_dyc_expansion(S, T)), (S, T)
 
 
 def test_young_capelli_action_matches_virtual_word():

@@ -123,6 +123,27 @@ def test_usage_errors(capsys):
             assert "error" in err.lower()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("element", "--spec"), "error: argument --spec: expected one argument\n"),
+        (("element", "--spec", "-:"), "error: argument --spec: expected one argument\n"),
+        (("nope",), "error: argument verb: invalid choice: "),
+    ],
+    ids=["spec-without-value", "spec-taken-for-an-option", "unknown-verb"],
+)
+def test_argparse_errors_are_one_line(capsys, argv, message):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err.startswith(message) and err.count("\n") == 1, err
+
+
+def test_help_still_prints_usage(capsys):
+    rc, out, err = run(capsys, "element", "--help")
+    assert (rc, err) == (0, "")
+    assert out.startswith("usage: glcenter element")
+
+
 def test_eigen_checks_mu_before_building(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("built the element before checking --mu")

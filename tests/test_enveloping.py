@@ -236,6 +236,39 @@ def test_random_balanced_word_properties():
             assert filtration_degree(image) <= bound
 
 
+def _reference_balanced_word(rng, n, max_len):
+    """The reference for random_balanced_word's drawing: one weighted
+    `choices` call per symbol."""
+    pool = list(range(1, n + 1)) + [alpha(1), alpha(2), beta(1), beta(2)]
+    weights = [2] * n + [1] * 4
+    while True:
+        length = rng.randint(2, max_len)
+        word = tuple(
+            (rng.choices(pool, weights)[0], rng.choices(pool, weights)[0])
+            for _ in range(length)
+        )
+        created = {}
+        annihilated = {}
+        for a, b in word:
+            if not is_proper(a):
+                created[a] = created.get(a, 0) + 1
+            if not is_proper(b):
+                annihilated[b] = annihilated.get(b, 0) + 1
+        if created and created == annihilated and not is_irregular(word):
+            return word
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_random_balanced_word_matches_reference(n):
+    # one draw of 2 * length symbols makes the same random() calls as the
+    # reference's draw per symbol, so the same seed gives the same words
+    for seed in range(4):
+        for max_len in (2, 4, 6):
+            rng, ref = random.Random(seed), random.Random(seed)
+            for _ in range(15):
+                assert random_balanced_word(rng, n, max_len) == _reference_balanced_word(ref, n, max_len)
+
+
 def test_devirtualize_matches_virtual_action():
     basket = monomial_basket(2, 2, 2)
     rng = random.Random(3)
