@@ -10,7 +10,7 @@ words, and a double Young-Capelli bitableau [box S|T] the signed row
 symmetrization of Young-Capelli bitableaux. `_symmetrizer` runs the group
 once per shape into a table of the cells each row of C* reads and their
 summed signs, and the words for one (S, T) are read off that table;
-`schur_element` builds its table once and reuses it for every S. Each
+each piece of `schur_element` builds one table for all its S. Each
 bitableau constructor devirtualizes one combination of words. The tests
 compare with two references: the full group enumeration, one sorted word
 per group element, and the paper's direct virtual words, with the
@@ -20,8 +20,13 @@ Schur elements are normalized sums of double Young-Capelli bitableaux
 [box S|S] and specialize to the determinantal generators H_k(n) (column
 shapes) and the permanental generators I_k(n) (row shapes). H_k(n) and
 I_k(n) are one row construction, made on a positive and on a negative
-virtual symbol. `schur_element_hc` builds the same element as the
-Harish-Chandra preimage of s*_lam, the route the CLI takes.
+virtual symbol. `schur_element` sums the definition by letter set: an
+order-preserving relabeling of the proper letters commutes with
+devirtualization and the PBW sort, so the S whose letters are exactly
+{1..m} give one piece B_m(lam), independent of n, and every m-subset of
+{1..n} is a relabeled copy of it. `verify` shares the pieces across n.
+`schur_element_hc` builds the same element as the Harish-Chandra preimage
+of s*_lam, the route the CLI takes.
 """
 
 from __future__ import annotations
@@ -181,17 +186,48 @@ def _schur_shape(lam: Partition, n: int) -> tuple:
     return lam, lam_t
 
 
-def schur_element(lam: Partition, n: int) -> CentralElement:
+def schur_element(lam: Partition, n: int, pieces: dict | None = None) -> CentralElement:
     """S_lam(n) = (1/H(lam~)) sum of [box S|S] over row-increasing tableaux S
     of shape lam~ with entries in 1..n. This is the definition, which
-    `verify` and the tests build S by."""
+    `verify` and the tests build S by, summed by letter set:
+
+        S_lam(n) = (1/H(lam~)) sum over A in {1..n} of f_A(B_|A|(lam)),
+
+    where the piece B_m(lam) is the image of the [box S|S] whose letter set
+    is exactly {1..m}, and f_A relabels letter i as the i-th smallest element
+    of A. f_A preserves the order of letters, so it maps those S onto the S
+    with letter set A, and it commutes with devirtualization and the PBW
+    sort: brackets only test letters for equality, `pbw_key` only compares
+    them, and the signs depend on symbol classes and sort parities alone.
+    So f_A of a PBW-normal word is PBW-normal, and relabeling needs no
+    normalization. B_m does not depend on n, and it is zero unless
+    l(lam) <= m <= |lam|. A caller that builds S at several n passes one
+    dict as pieces, keyed by (lam, m); it is read and filled, and no piece
+    is handed out."""
     lam, lam_t = _schur_shape(lam, n)
-    table = _symmetrizer(lam_t, rows=True)
+    if pieces is None:
+        pieces = {}
     body: EnvelopingElement = {}
-    for S in enumerate_row_increasing(lam_t, n):
-        add_into(body, devirtualize(_symmetrized_words(table, S, S)))
+    for m in range(len(lam), min(size(lam), n) + 1):
+        if (lam, m) not in pieces:
+            pieces[lam, m] = _schur_piece(lam_t, m)
+        piece = pieces[lam, m]
+        for A in combinations(range(1, n + 1), m):
+            f = (0,) + A
+            add_into(body, {tuple((f[a], f[b]) for a, b in word): c for word, c in piece.items()})
     body = scale(body, Fraction(1, hook_number(lam_t)))
     return CentralElement(body, n, f"S:{format_partition(lam)}@n={n}")
+
+
+def _schur_piece(lam_t: Partition, m: int) -> EnvelopingElement:
+    """B_m: the sum of the images of [box S|S] over the row-increasing S of
+    shape lam~ whose letter set is exactly {1..m}, unscaled."""
+    table = _symmetrizer(lam_t, rows=True)
+    piece: EnvelopingElement = {}
+    for S in enumerate_row_increasing(lam_t, m):
+        if len({x for row in S for x in row}) == m:
+            add_into(piece, devirtualize(_symmetrized_words(table, S, S)))
+    return piece
 
 
 def schur_element_hc(lam: Partition, n: int) -> CentralElement:

@@ -471,12 +471,13 @@ def cmd_verify(args) -> int:
         raise UsageError(f"--d must be at least 1, got {args.d}")
     names = [args.suite] if args.suite else list(_SUITES)
     built = {}  # S_lam(n) by the definition, once per (lam, n) of this run
+    pieces = {}  # its letter-set pieces, once per (lam, m) for every n
 
     def schur(lam, n):
         # central.schur_element is looked up at call time, so a rebinding of
         # it sees every real build; each check gets a copy of its own
         if (lam, n) not in built:
-            built[lam, n] = central.schur_element(lam, n)
+            built[lam, n] = central.schur_element(lam, n, pieces)
         x = built[lam, n]
         return central.CentralElement(dict(x.body), x.n, x.provenance)
 

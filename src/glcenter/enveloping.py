@@ -266,17 +266,24 @@ def check_letters(x: EnvelopingElement, n: int) -> None:
 
 
 def is_central(x: EnvelopingElement, n: int) -> bool:
-    """Whether x in U(gl(n)) commutes with all of gl(n). The Chevalley
-    generators e_{i,i+1} and e_{i+1,i} generate sl(n), and the identity
-    matrix is central in U(gl(n)), so commuting with those 2(n-1)
-    generators is enough. Raises for a letter outside 1..n, where that
+    """Whether x in U(gl(n)) commutes with all of gl(n). Each word is a
+    weight vector of the Cartan generators e_{i,i}, so the words whose row
+    and column letters differ as multisets must cancel in PBW form; that is
+    checked before any commutator. What commutes with x is a Lie
+    subalgebra. The n generators e_{1,2}, ..., e_{n-1,n}, e_{n,1} bracket to
+    every e_{i,j} with i != j and then every e_{i,i} - e_{j,j}, so they
+    generate sl(n), and the identity matrix is central in U(gl(n)): commuting
+    with them is enough. Raises for a letter outside 1..n, where that
     argument does not hold."""
     check_letters(x, n)
-    for i in range(1, n):
-        for g in ((i, i + 1), (i + 1, i)):
-            if pbw_normal_form(adjoint(g, x)):
-                return False
-    return True
+    level, charged = {}, {}
+    for word, coeff in x.items():
+        weight_zero = sorted(a for a, _ in word) == sorted(b for _, b in word)
+        (level if weight_zero else charged)[word] = coeff
+    if pbw_normal_form(charged):
+        return False
+    gens = [(i, i + 1) for i in range(1, n)] + ([(n, 1)] if n > 1 else [])
+    return not any(pbw_normal_form(adjoint(g, level)) for g in gens)
 
 
 def word_sort_key(word: Word) -> tuple:

@@ -337,6 +337,51 @@ def test_schur_routes_agree():
         assert str(by_hc.value) == str(by_definition.value)
 
 
+# The definition summed over every tableau with entries in 1..n, with no
+# grouping by letter set: the reference for schur_element's pieces.
+def _schur_direct(lam, n):
+    lam_t = conjugate(lam)
+    table = _symmetrizer(lam_t, rows=True)
+    body = {}
+    for S in enumerate_row_increasing(lam_t, n):
+        add_into(body, devirtualize(_symmetrized_words(table, S, S)))
+    return elem_scale(body, Fraction(1, hook_number(lam_t)))
+
+
+def test_schur_pieces_match_direct_sum():
+    # every (lam, n) of `verify --max-n 4 --max-size 4`, the empty partition,
+    # and two shapes of size 5 at n = 5
+    cases = [(lam, n) for n in range(1, 5) for lam in partitions_upto(4) if len(lam) <= n]
+    for lam, n in cases + [((), 0), ((3, 2), 5), ((2, 2, 1), 5)]:
+        assert schur_element(lam, n).body == _schur_direct(lam, n), (lam, n)
+
+
+def test_shared_pieces_match_fresh_builds():
+    # one dict serves every n and every shape; a piece exists for each m
+    # with l(lam) <= m <= min(|lam|, n) and for no other m
+    pieces = {}
+    shapes = [(2, 1), (1, 1), (3,), (2, 2)]
+    for n in range(1, 6):
+        for lam in shapes:
+            if len(lam) <= n:
+                assert schur_element(lam, n, pieces).body == schur_element(lam, n).body, (lam, n)
+    assert sorted(pieces) == sorted((lam, m) for lam in shapes for m in range(len(lam), size(lam) + 1))
+
+
+def test_schur_element_hands_out_no_piece():
+    # a caller that changes a returned body changes no piece and no later call
+    pieces = {}
+    fresh = {n: schur_element((2, 1), n).body for n in (2, 3, 4)}
+    for n in (2, 3, 4, 3, 2):
+        before = {key: dict(piece) for key, piece in pieces.items()}
+        body = schur_element((2, 1), n, pieces).body
+        assert body == fresh[n]
+        body[((1, 1),)] = 5
+        body.pop(next(w for w in body if w != ((1, 1),)))
+        assert {key: pieces[key] for key in before} == before
+    assert schur_element((2, 1), 3, pieces).body == fresh[3]
+
+
 def test_constructor_argument_errors():
     with pytest.raises(ValueError):
         capelli_H(0, 2)

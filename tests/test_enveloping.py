@@ -416,6 +416,35 @@ def test_is_central_matches_all_generators(terms):
     assert is_central(x, 3) == _is_central_brute_force(x, 3)
 
 
+def _sum(*xs):
+    out = {}
+    for x in xs:
+        elem_add_into(out, x)
+    return out
+
+
+def test_is_central_matches_all_generators_at_n4():
+    h1, h2, h3 = (capelli_H(k, 4).body for k in (1, 2, 3))
+    e12_e21 = pbw_normal_form(elem_mul(e(1, 2), e(2, 1)))
+    cycle = pbw_normal_form(elem_mul(elem_mul(e(1, 2), e(2, 3)), e(3, 1)))
+    cases = [
+        (h2, True),
+        (pbw_normal_form(elem_mul(h1, h3)), True),
+        # weight zero, not central: only the commutators can tell
+        (_sum(h2, e12_e21), False),
+        (_sum(h3, e(1, 1), elem_scale(e(2, 2), -1)), False),
+        (_sum(h2, e(4, 4), elem_scale(e(1, 1), -1)), False),
+        (_sum(h1, cycle), False),
+        # nonzero weight: refused before any commutator, unless it is 0 in U
+        (_sum(h2, e(1, 2)), False),
+        (_sum(h2, e(4, 1)), False),
+        (_sum(h2, elem_mul(e(1, 2), e(1, 3)), elem_scale(elem_mul(e(1, 3), e(1, 2)), -1)), True),
+    ]
+    for x, central in cases:
+        assert _is_central_brute_force(x, 4) == central
+        assert is_central(x, 4) == central
+
+
 def test_is_central_rejects_letters_outside_gl_n():
     with pytest.raises(ValueError):
         is_central(e(3, 3), 2)
