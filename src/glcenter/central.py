@@ -25,6 +25,8 @@ order-preserving relabeling of the proper letters commutes with
 devirtualization and the PBW sort, so the S whose letters are exactly
 {1..m} give one piece B_m(lam), independent of n, and every m-subset of
 {1..n} is a relabeled copy of it. `verify` shares the pieces across n.
+H_k(n) and I_k(n) are summed by letter set too, over their index tuples,
+and `_relabeled_sum` is the one relabeling route of all three.
 `schur_element_hc` builds the same element as the Harish-Chandra preimage
 of s*_lam, the route the CLI takes.
 """
@@ -207,16 +209,25 @@ def schur_element(lam: Partition, n: int, pieces: dict | None = None) -> Central
     lam, lam_t = _schur_shape(lam, n)
     if pieces is None:
         pieces = {}
-    body: EnvelopingElement = {}
-    for m in range(len(lam), min(size(lam), n) + 1):
+    ms = range(len(lam), min(size(lam), n) + 1)
+    for m in ms:
         if (lam, m) not in pieces:
             pieces[lam, m] = _schur_piece(lam_t, m)
-        piece = pieces[lam, m]
+    body = _relabeled_sum([(m, pieces[lam, m]) for m in ms], n)
+    body = scale(body, Fraction(1, hook_number(lam_t)))
+    return CentralElement(body, n, f"S:{format_partition(lam)}@n={n}")
+
+
+def _relabeled_sum(pieces: list, n: int) -> EnvelopingElement:
+    """The sum over (m, piece) in pieces and over the m-subsets A of {1..n}
+    of f_A(piece), where the piece has letters 1..m and f_A relabels letter
+    i as the i-th smallest element of A. The result is a new combination."""
+    body: EnvelopingElement = {}
+    for m, piece in pieces:
         for A in combinations(range(1, n + 1), m):
             f = (0,) + A
             add_into(body, {tuple((f[a], f[b]) for a, b in word): c for word, c in piece.items()})
-    body = scale(body, Fraction(1, hook_number(lam_t)))
-    return CentralElement(body, n, f"S:{format_partition(lam)}@n={n}")
+    return body
 
 
 def _schur_piece(lam_t: Partition, m: int) -> EnvelopingElement:
@@ -240,11 +251,23 @@ def schur_element_hc(lam: Partition, n: int) -> CentralElement:
     return CentralElement(body, n, f"S:{format_partition(lam)}@n={n}")
 
 
-def _one_row(tuples, virtual, weight) -> EnvelopingElement:
-    """Image of the sum of weight(idx) [idx reversed|idx] over idx in tuples,
-    one row on the single virtual symbol virtual(1)."""
-    words = {_left_block((i[::-1],), virtual) + _right_block((i,), virtual): weight(i) for i in tuples}
-    return devirtualize(words)
+def _one_row(tuples, k: int, n: int, virtual, weight) -> EnvelopingElement:
+    """Image of the sum of weight(idx) [idx reversed|idx] over idx in
+    tuples(range(1, n + 1), k), one row on the single virtual symbol
+    virtual(1), summed by letter set as in `schur_element`: the idx whose
+    letter set is exactly {1..m} give one piece, devirtualized once and
+    relabeled onto every m-subset of {1..n}. weight must depend only on the
+    multiplicities of the letters of idx, which relabeling keeps."""
+    pieces = []
+    for m in range(1, min(k, n) + 1):
+        words = {
+            _left_block((i[::-1],), virtual) + _right_block((i,), virtual): weight(i)
+            for i in tuples(range(1, m + 1), k)
+            if len(set(i)) == m
+        }
+        if words:
+            pieces.append((m, devirtualize(words)))
+    return _relabeled_sum(pieces, n)
 
 
 def capelli_H(k: int, n: int) -> CentralElement:
@@ -252,7 +275,7 @@ def capelli_H(k: int, n: int) -> CentralElement:
     built on a single positive virtual symbol."""
     if not 1 <= k <= n:
         raise ValueError(f"H_k needs 1 <= k <= n, got k={k}, n={n}")
-    body = _one_row(combinations(range(1, n + 1), k), alpha, lambda idx: 1)
+    body = _one_row(combinations, k, n, alpha, lambda idx: 1)
     return CentralElement(body, n, f"H:{k}@n={n}")
 
 
@@ -298,7 +321,7 @@ def nazarov_umeda_I(k: int, n: int) -> CentralElement:
     symbol, one per weakly increasing k-tuple with h_j entries equal to j."""
     if k < 1:
         raise ValueError(f"I_k needs k >= 1, got k={k}")
-    body = _one_row(combinations_with_replacement(range(1, n + 1), k), beta, _multiplicity_weight)
+    body = _one_row(combinations_with_replacement, k, n, beta, _multiplicity_weight)
     return CentralElement(body, n, f"I:{k}@n={n}")
 
 

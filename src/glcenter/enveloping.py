@@ -11,17 +11,21 @@ polarization action `act` applies each distinct right factor of its input
 once per call, so words that end alike share that work.
 
 Devirtualization sends a balanced virtual word to its proper image in PBW
-normal form, in one rewriting pass: the leftmost factor whose column symbol
-is virtual is pushed rightward, each swap adding the contraction terms of a
-supercommutator, which shorten the word, and a word whose tracked factor
-reaches the right end (annihilating a symbol that was never created) is
-dropped. The push is a loop over the factors to the right of the tracked
-one; only the shorter contraction words recurse. A word with no virtual
-column symbol left is replaced by its PBW normal form, unless a virtual row
-symbol is left in it: then the input was not balanced, and devirtualization
-raises. Both rewriting loops, the push and the PBW sort, write the one or
-two bracket terms in place, and the push tests symbol classes inline, with
-no helper call per step; `supercommutator` serves `adjoint` and the tests.
+normal form, in one rewriting pass: the rightmost factor whose column
+symbol is virtual is pushed rightward, each swap adding the contraction
+terms of a supercommutator, which shorten the word, and a word whose
+tracked factor reaches the right end (annihilating a symbol that was never
+created) is dropped. Any factor with a virtual column may be pushed, since
+the image is unique; the rightmost one passes only factors with proper
+columns, so its push is the shortest, and the recursion meets far fewer
+distinct subwords than a push of the leftmost one. The push is a loop over
+the factors to the right of the tracked one; only the shorter contraction
+words recurse. A word with no virtual column symbol left is replaced by its
+PBW normal form, unless a virtual row symbol is left in it: then the input
+was not balanced, and devirtualization raises. Both rewriting loops, the
+push and the PBW sort, write the one or two bracket terms in place, and the
+push tests symbol classes inline, with no helper call per step;
+`supercommutator` serves `adjoint` and the tests.
 """
 
 from __future__ import annotations
@@ -197,18 +201,22 @@ _devirt_cache: dict = {}
 
 
 def _devirt_word(word: Word) -> EnvelopingElement:
-    """Image of one word, in PBW normal form. The first factor g = e_{a,v}
+    """Image of one word, in PBW normal form. The last factor g = e_{a,v}
     with a virtual column symbol v moves right past each later factor
     h = e_{c,d}, collecting the Koszul sign of the swaps made so far; each
     step adds sign * [g, h] = sign * (d_{vc} e_{a,d} - (-1)^{|g||h|} d_{ad}
     e_{c,v}) in place of the pair, and g contributes nothing once it falls
-    off the right end. A word with no virtual column symbol is normalized,
-    unless a virtual row symbol is left: that raises. A symbol is odd when
-    it is a proper letter or a negative virtual symbol ("b")."""
+    off the right end: there it would act first, on a polynomial in proper
+    variables only. Every later factor has a proper column, and each bracket
+    keeps the count of creations and annihilations of each virtual symbol,
+    so a balanced word ends in proper words. A word with no virtual column
+    symbol is normalized, unless a virtual row symbol is left: that raises.
+    A symbol is odd when it is a proper letter or a negative virtual symbol
+    ("b"), so h, whose column is proper, is odd when c is positive virtual."""
     cached = _devirt_cache.get(word)
     if cached is not None:
         return cached
-    k = next((k for k, g in enumerate(word) if type(g[1]) is not int), None)
+    k = next((k for k in range(len(word) - 1, -1, -1) if type(word[k][1]) is not int), None)
     if k is None:
         for a, b in word:
             if type(a) is not int:
@@ -220,10 +228,10 @@ def _devirt_word(word: Word) -> EnvelopingElement:
         result = {}
         sign = 1
         for j in range(k + 1, len(word)):
-            c, d = h = word[j]
-            both_odd = g_odd and (type(c) is int or c[0] == "b") != (type(d) is int or d[0] == "b")
-            # [g, h] = 0 unless v = c or a = d; h = g there only for the even e_{v,v}
-            if (v == c or a == d) and h != g:
+            c, d = word[j]
+            both_odd = g_odd and type(c) is not int and c[0] != "b"
+            # [g, h] = 0 unless v = c or a = d
+            if v == c or a == d:
                 head, tail = word[:k] + word[k + 1 : j], word[j + 1 :]
                 if v == c:
                     add_into(result, _devirt_word(head + ((a, d),) + tail), sign)
@@ -269,12 +277,15 @@ def is_central(x: EnvelopingElement, n: int) -> bool:
     """Whether x in U(gl(n)) commutes with all of gl(n). Each word is a
     weight vector of the Cartan generators e_{i,i}, so the words whose row
     and column letters differ as multisets must cancel in PBW form; that is
-    checked before any commutator. What commutes with x is a Lie
-    subalgebra. The n generators e_{1,2}, ..., e_{n-1,n}, e_{n,1} bracket to
-    every e_{i,j} with i != j and then every e_{i,i} - e_{j,j}, so they
-    generate sl(n), and the identity matrix is central in U(gl(n)): commuting
-    with them is enough. Raises for a letter outside 1..n, where that
-    argument does not hold."""
+    checked before any commutator, and what is left has weight zero, so it
+    commutes with the Cartan subalgebra. Under the adjoint action each
+    filtration piece of U(gl(n)) is a finite-dimensional module, and so a
+    sum of irreducible ones; the weight-zero part is a sum of weight-zero
+    vectors, one in each summand. If the raising generators e_{1,2}, ...,
+    e_{n-1,n} kill it, they kill each of those vectors, which is then a
+    highest-weight vector of weight 0 and spans a trivial summand: it
+    commutes with all of gl(n). So n - 1 commutators are enough. Raises for
+    a letter outside 1..n, where that argument does not hold."""
     check_letters(x, n)
     level, charged = {}, {}
     for word, coeff in x.items():
@@ -282,8 +293,7 @@ def is_central(x: EnvelopingElement, n: int) -> bool:
         (level if weight_zero else charged)[word] = coeff
     if pbw_normal_form(charged):
         return False
-    gens = [(i, i + 1) for i in range(1, n)] + ([(n, 1)] if n > 1 else [])
-    return not any(pbw_normal_form(adjoint(g, level)) for g in gens)
+    return not any(pbw_normal_form(adjoint((i, i + 1), level)) for i in range(1, n))
 
 
 def word_sort_key(word: Word) -> tuple:

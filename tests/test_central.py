@@ -7,6 +7,7 @@ import pytest
 from glcenter.central import (
     CentralElement,
     _left_block,
+    _multiplicity_weight,
     _right_block,
     _sorted_odd,
     _symmetrized_words,
@@ -380,6 +381,35 @@ def test_schur_element_hands_out_no_piece():
         body.pop(next(w for w in body if w != ((1, 1),)))
         assert {key: pieces[key] for key in before} == before
     assert schur_element((2, 1), 3, pieces).body == fresh[3]
+
+
+# H_k(n) and I_k(n) devirtualized over every tuple at once, with no
+# grouping by letter set: the reference for _one_row's pieces.
+def _one_row_direct(tuples, virtual, weight):
+    words = {_left_block((i[::-1],), virtual) + _right_block((i,), virtual): weight(i) for i in tuples}
+    return devirtualize(words)
+
+
+def test_one_row_pieces_match_direct_sum():
+    for n in range(1, 7):
+        for k in range(1, n + 1):
+            direct = _one_row_direct(combinations(range(1, n + 1), k), alpha, lambda idx: 1)
+            assert capelli_H(k, n).body == direct, (k, n)
+    for n in range(1, 6):
+        for k in range(1, 7):
+            direct = _one_row_direct(combinations_with_replacement(range(1, n + 1), k), beta, _multiplicity_weight)
+            assert nazarov_umeda_I(k, n).body == direct, (k, n)
+
+
+def test_one_row_hands_out_no_piece():
+    # a caller that changes a returned body changes no later call
+    for build, k, n in [(capelli_H, 2, 3), (capelli_H, 3, 3), (nazarov_umeda_I, 3, 2), (nazarov_umeda_I, 2, 2)]:
+        expected = build(k, n).body
+        body = build(k, n).body
+        for word in list(body):
+            body[word] *= 3
+        body[((1, 2),)] = 7
+        assert build(k, n).body == expected
 
 
 def test_constructor_argument_errors():

@@ -1,11 +1,12 @@
 import random
+from itertools import combinations, combinations_with_replacement
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from glcenter import enveloping
-from glcenter.central import capelli_bitableau, capelli_H
+from glcenter.central import _left_block, _right_block, capelli_bitableau, capelli_H
 from glcenter.enveloping import (
     act,
     adjoint,
@@ -314,7 +315,8 @@ def test_element_json_round_trip():
 
 
 # The recursive push memoized per (word, k), as devirtualization was first
-# written: the reference for the loop in enveloping._devirt_word.
+# written: the reference for the loop in enveloping._devirt_word. It pushes
+# the leftmost factor with a virtual column, the library the rightmost.
 def _oracle_push(word, k, push_cache, devirt_cache):
     key = (word, k)
     if key in push_cache:
@@ -452,3 +454,36 @@ def test_is_central_rejects_letters_outside_gl_n():
         is_central({((1, alpha(1)),): 1}, 2)
     assert is_central(e(1, 1), 1)
     assert is_central(one(), 1)
+
+
+def test_rightmost_push_matches_leftmost_push():
+    # the oracle pushes the leftmost factor with a virtual column, the library
+    # the rightmost. Seeded words at n = 4 (the recursive-push test draws them
+    # at n = 3), and the words of capelli_H(k, n) and nazarov_umeda_I(k, n)
+    # for k, n <= 5, which are all words over the letters 1..5
+    rng = random.Random("push-order/4")
+    words = [random_balanced_word(rng, 4, max_len=7) for _ in range(150)]
+    for k in range(1, 6):
+        for idx in combinations(range(1, 6), k):
+            words.append(_left_block((idx[::-1],), alpha) + _right_block((idx,), alpha))
+        for idx in combinations_with_replacement(range(1, 6), k):
+            words.append(_left_block((idx[::-1],), beta) + _right_block((idx,), beta))
+    push_cache, devirt_cache = {}, {}
+    for word in words:
+        expected = pbw_normal_form(_oracle_devirt_word(word, push_cache, devirt_cache))
+        assert devirtualize({word: 1}) == expected, word
+
+
+def test_unbalanced_input_error_is_unchanged():
+    a1, a2 = alpha(1), alpha(2)
+    for word in [((a1, 1),), ((a1, 1), (2, a2), (a2, 3)), ((2, a2), (a1, 1), (a2, 2))]:
+        with pytest.raises(ValueError, match=r"^input is not balanced: virtual generator \(\('a', 1\), 1\) survives$"):
+            devirtualize({word: 1})
+
+
+def test_devirtualization_memo_of_capelli_H_6_6_stays_small():
+    # pushing the leftmost virtual factor left 23,753 entries here
+    enveloping._devirt_cache.clear()
+    enveloping._pbw_cache.clear()
+    capelli_H(6, 6)
+    assert len(enveloping._devirt_cache) <= 8000
