@@ -17,6 +17,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 from itertools import combinations_with_replacement
 
 from . import central, enveloping, shifted
@@ -32,7 +33,6 @@ from .combinatorics import (
 from .superspace import poly_mul
 
 _KINDS = ("S", "H", "I", "CB", "YC", "DYC", "CIMM")
-_SUITES = ("core", "schur", "duality", "olshanski", "hc")
 
 
 class UsageError(Exception):
@@ -43,15 +43,19 @@ class VerificationFailure(Exception):
     """A requested computation contradicts a verified property."""
 
 
+def _field_int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"bad {what} in element spec: {text!r}") from None
+
+
 def parse_element_spec(spec: str) -> tuple:
     """Split "KIND:payload@n=N" into (kind, payload, n)."""
     head, sep, tail = spec.rpartition("@n=")
     if not sep:
         raise UsageError(f"element spec must end in '@n=N': {spec!r}")
-    try:
-        n = int(tail)
-    except ValueError:
-        raise UsageError(f"bad n in element spec: {tail!r}") from None
+    n = _field_int(tail, "n")
     if n < 1:
         raise UsageError(f"n must be at least 1, got {n}")
     kind, sep, payload = head.partition(":")
@@ -81,13 +85,13 @@ def build_element(spec: str) -> central.CentralElement:
         if kind == "S":
             return central.schur_element_hc(parse_partition(payload), n)
         if kind == "H":
-            return central.capelli_H(int(payload), n)
+            return central.capelli_H(_field_int(payload, "k"), n)
         if kind == "I":
-            return central.nazarov_umeda_I(int(payload), n)
+            return central.nazarov_umeda_I(_field_int(payload, "k"), n)
         if kind == "CIMM":
             mu_s, left_s, right_s = _fields(payload, 3, spec)
-            left = tuple(int(x) for x in left_s.split())
-            right = tuple(int(x) for x in right_s.split())
+            left = tuple(_field_int(x, "letter") for x in left_s.split())
+            right = tuple(_field_int(x, "letter") for x in right_s.split())
             _check_letters((left, right), n)
             body = central.capelli_immanant(parse_partition(mu_s), left, right)
             return central.CentralElement(body, n, spec)
@@ -213,58 +217,39 @@ def cmd_center_map(args) -> int:
     return 0
 
 
-def _suite_core(max_size: int, max_n: int, seed: int, d: int, schur) -> list:
-    checks = []
-    for n in range(1, max_n + 1):
-        for k in range(1, min(n, max_size) + 1):
-            checks.append(
-                (
-                    f"H-routes k={k} n={n}",
-                    lambda k=k, n=n: central.capelli_H(k, n).body
-                    == central.capelli_H_cdet(k, n).body,
-                )
+def _shapes(max_size: int, rows: int) -> list:
+    """The nonempty partitions of size at most max_size with at most rows
+    parts: the lam for which S_lam(rows) is defined."""
+    return [lam for lam in partitions_upto(max_size, include_empty=False) if len(lam) <= rows]
+
+
+def _suite_core(args, elem):
+    for n in range(1, args.max_n + 1):
+        for k in range(1, min(n, args.max_size) + 1):
+            yield f"H-routes k={k} n={n}", lambda k=k, n=n: (
+                elem("H", k, n).body == central.capelli_H_cdet(k, n).body
             )
-            checks.append(
-                (
-                    f"I-routes k={k} n={n}",
-                    lambda k=k, n=n: central.nazarov_umeda_I(k, n).body
-                    == central.nazarov_umeda_I_cper(k, n).body,
-                )
+            yield f"I-routes k={k} n={n}", lambda k=k, n=n: (
+                elem("I", k, n).body == central.nazarov_umeda_I_cper(k, n).body
             )
-            checks.append(
-                (
-                    f"central H:{k}@n={n}",
-                    lambda k=k, n=n: enveloping.is_central(
-                        central.capelli_H(k, n).body, n
-                    ),
+            for kind in "HI":
+                yield f"central {kind}:{k}@n={n}", lambda kind=kind, k=k, n=n: (
+                    enveloping.is_central(elem(kind, k, n).body, n)
                 )
-            )
-            checks.append(
-                (
-                    f"central I:{k}@n={n}",
-                    lambda k=k, n=n: enveloping.is_central(
-                        central.nazarov_umeda_I(k, n).body, n
-                    ),
-                )
-            )
-    rng = random.Random(seed)
-    n = min(max_n, 3)
-    monos = _monomials(n, d, 2)
+    rng = random.Random(args.seed)
+    n = min(args.max_n, 3)
+    monos = _monomials(n)
     for i in range(8):
-        word = enveloping.random_balanced_word(rng, n, max_len=min(6, 2 * max_size))
-        checks.append(
-            (
-                f"devirt-action n={n} i={i}",
-                lambda word=word, monos=monos: _action_matches(word, monos),
-            )
-        )
-    return checks
+        word = enveloping.random_balanced_word(rng, n, max_len=min(6, 2 * args.max_size))
+        yield f"devirt-action n={n} i={i}", partial(_action_matches, word, monos)
 
 
-def _monomials(n: int, d: int, max_deg: int) -> list:
-    variables = [(i, j) for i in range(1, n + 1) for j in range(1, d + 1)]
+def _monomials(n: int) -> list:
+    """The monomials of degree at most 2 in the variables of n letters and
+    two place columns."""
+    variables = [(i, j) for i in range(1, n + 1) for j in (1, 2)]
     out = [{(): Fraction(1)}]
-    for deg in range(1, max_deg + 1):
+    for deg in (1, 2):
         for combo in combinations_with_replacement(variables, deg):
             q = {(): Fraction(1)}
             for v in combo:
@@ -282,171 +267,86 @@ def _action_matches(word, monos) -> bool:
     )
 
 
-def _suite_schur(max_size: int, max_n: int, seed: int, d: int, schur) -> list:
-    checks = []
-    for n in range(1, max_n + 1):
-        for lam in partitions_upto(max_size, include_empty=False):
-            if conjugate(lam)[0] > n:
-                continue
+def _suite_schur(args, elem):
+    def vanishes(lam, n):
+        x = elem("S", lam, n)
+        return all(central.eigenvalue(x, mu) == 0 for mu in _shapes(size(lam), n) if mu != lam)
+
+    for n in range(1, args.max_n + 1):
+        for lam in _shapes(args.max_size, n):
             name = f"S:{format_partition(lam)}@n={n}"
-            checks.append(
-                (
-                    f"eigen-diag {name}",
-                    lambda lam=lam, n=n: central.eigenvalue(schur(lam, n), lam)
-                    == hook_number(lam),
-                )
+            yield f"eigen-diag {name}", lambda lam=lam, n=n: (
+                central.eigenvalue(elem("S", lam, n), lam) == hook_number(lam)
+            )
+            yield f"eigen-vanish {name}", partial(vanishes, lam, n)
+            yield f"central {name}", lambda lam=lam, n=n: (
+                enveloping.is_central(elem("S", lam, n).body, n)
             )
 
-            def vanish(lam=lam, n=n):
-                x = schur(lam, n)
-                for mu in partitions_upto(size(lam), include_empty=False):
-                    if mu == lam or len(mu) > n:
-                        continue
-                    if central.eigenvalue(x, mu) != 0:
-                        return False
-                return True
 
-            checks.append((f"eigen-vanish {name}", vanish))
-            checks.append(
-                (
-                    f"central {name}",
-                    lambda lam=lam, n=n: enveloping.is_central(schur(lam, n).body, n),
+def _suite_duality(args, elem):
+    for n in range(2, args.max_n + 1):
+        for lam in partitions_upto(args.max_size, include_empty=False):
+            if size(lam) <= n:
+                yield f"dual S:{format_partition(lam)}@n={n}", lambda lam=lam, n=n: (
+                    central.duality_W(elem("S", lam, n)).body == elem("S", conjugate(lam), n).body
                 )
+        for k in range(1, min(n, args.max_size) + 1):
+            yield f"dual-involution H:{k}@n={n}", lambda k=k, n=n: (
+                central.duality_W(central.duality_W(elem("H", k, n))).body == elem("H", k, n).body
             )
-    return checks
-
-
-def _suite_duality(max_size: int, max_n: int, seed: int, d: int, schur) -> list:
-    checks = []
-    for n in range(2, max_n + 1):
-        for lam in partitions_upto(max_size, include_empty=False):
-            if size(lam) > n:
-                continue
-            checks.append(
-                (
-                    f"dual S:{format_partition(lam)}@n={n}",
-                    lambda lam=lam, n=n: central.duality_W(schur(lam, n)).body
-                    == schur(conjugate(lam), n).body,
+    for k in range(1, args.max_size + 1):
+        for mu in partitions_upto(args.max_size, include_empty=False):
+            if mu[0] <= args.max_n and len(mu) <= args.max_n:
+                nv = max(k, mu[0], len(mu))
+                yield f"strip-duality k={k} mu={format_partition(mu)}", lambda k=k, mu=mu, nv=nv: (
+                    shifted.eval_at_partition(shifted.e_star(k, nv), conjugate(mu))
+                    == shifted.eval_at_partition(shifted.h_star(k, nv), mu)
                 )
-            )
-        for k in range(1, min(n, max_size) + 1):
-            checks.append(
-                (
-                    f"dual-involution H:{k}@n={n}",
-                    lambda k=k, n=n: central.duality_W(
-                        central.duality_W(central.capelli_H(k, n))
-                    ).body
-                    == central.capelli_H(k, n).body,
-                )
-            )
-    for k in range(1, max_size + 1):
-        for mu in partitions_upto(max_size, include_empty=False):
-            if mu[0] > max_n or conjugate(mu)[0] > max_n:
-                continue
-            nv = max(k, mu[0], len(mu), 1)
-            checks.append(
-                (
-                    f"strip-duality k={k} mu={format_partition(mu)}",
-                    lambda k=k, mu=mu, nv=nv: shifted.eval_at_partition(
-                        shifted.e_star(k, nv), conjugate(mu)
-                    )
-                    == shifted.eval_at_partition(shifted.h_star(k, nv), mu),
-                )
-            )
-    return checks
 
 
-def _suite_olshanski(max_size: int, max_n: int, seed: int, d: int, schur) -> list:
-    checks = []
-    for n in range(2, max_n + 1):
-        for k in range(1, min(n - 1, max_size) + 1):
-            checks.append(
-                (
-                    f"project H:{k}@n={n}",
-                    lambda k=k, n=n: central.olshanski_project(
-                        central.capelli_H(k, n)
-                    ).body
-                    == central.capelli_H(k, n - 1).body,
-                )
-            )
-            checks.append(
-                (
-                    f"project I:{k}@n={n}",
-                    lambda k=k, n=n: central.olshanski_project(
-                        central.nazarov_umeda_I(k, n)
-                    ).body
-                    == central.nazarov_umeda_I(k, n - 1).body,
-                )
-            )
-        checks.append(
-            (
-                f"project-top H:{n}@n={n}",
-                lambda n=n: central.olshanski_project(central.capelli_H(n, n)).body
-                == {},
-            )
+def _suite_olshanski(args, elem):
+    def projects(kind, param, n):
+        # the projection of the element at n is the same element at n - 1
+        return central.olshanski_project(elem(kind, param, n)).body == elem(kind, param, n - 1).body
+
+    for n in range(2, args.max_n + 1):
+        for k in range(1, min(n - 1, args.max_size) + 1):
+            yield f"project H:{k}@n={n}", partial(projects, "H", k, n)
+            yield f"project I:{k}@n={n}", partial(projects, "I", k, n)
+        yield f"project-top H:{n}@n={n}", lambda n=n: (
+            central.olshanski_project(elem("H", n, n)).body == {}
         )
-        for lam in partitions_upto(max_size, include_empty=False):
-            if conjugate(lam)[0] > n - 1:
-                continue
-            checks.append(
-                (
-                    f"project S:{format_partition(lam)}@n={n}",
-                    lambda lam=lam, n=n: central.olshanski_project(schur(lam, n)).body
-                    == schur(lam, n - 1).body,
-                )
+        for lam in _shapes(args.max_size, n - 1):
+            yield f"project S:{format_partition(lam)}@n={n}", partial(projects, "S", lam, n)
+            yield f"embed-retract S:{format_partition(lam)}@n={n - 1}", lambda lam=lam, n=n: (
+                central.olshanski_project(central.embed(elem("S", lam, n - 1))).body
+                == elem("S", lam, n - 1).body
             )
-            checks.append(
-                (
-                    f"embed-retract S:{format_partition(lam)}@n={n - 1}",
-                    lambda lam=lam, n=n: central.olshanski_project(
-                        central.embed(schur(lam, n - 1))
-                    ).body
-                    == schur(lam, n - 1).body,
-                )
-            )
-    return checks
 
 
-def _suite_hc(max_size: int, max_n: int, seed: int, d: int, schur) -> list:
-    checks = []
-    for n in range(1, max_n + 1):
-        for k in range(1, min(n, max_size) + 1):
-            checks.append(
-                (
-                    f"hc-e* H:{k}@n={n}",
-                    lambda k=k, n=n: (
-                        shifted.harish_chandra(central.capelli_H(k, n))
-                        == shifted.e_star(k, n)
-                    ),
-                )
+def _suite_hc(args, elem):
+    for n in range(1, args.max_n + 1):
+        for k in range(1, min(n, args.max_size) + 1):
+            yield f"hc-e* H:{k}@n={n}", lambda k=k, n=n: (
+                shifted.harish_chandra(elem("H", k, n)) == shifted.e_star(k, n)
             )
-        for k in range(1, max_size + 1):
-            checks.append(
-                (
-                    f"hc-h* I:{k}@n={n}",
-                    lambda k=k, n=n: (
-                        shifted.harish_chandra(central.nazarov_umeda_I(k, n))
-                        == shifted.h_star(k, n)
-                    ),
-                )
+        for k in range(1, args.max_size + 1):
+            yield f"hc-h* I:{k}@n={n}", lambda k=k, n=n: (
+                shifted.harish_chandra(elem("I", k, n)) == shifted.h_star(k, n)
             )
-        for lam in partitions_upto(max_size, include_empty=False):
-            if conjugate(lam)[0] > n:
-                continue
-            checks.append(
-                (
-                    f"hc-s* S:{format_partition(lam)}@n={n}",
-                    lambda lam=lam, n=n: (
-                        shifted.harish_chandra(schur(lam, n))
-                        == shifted.s_star(lam, n)
-                        == shifted.s_star_determinant(lam, n)
-                    ),
-                )
+        for lam in _shapes(args.max_size, n):
+            yield f"hc-s* S:{format_partition(lam)}@n={n}", lambda lam=lam, n=n: (
+                shifted.harish_chandra(elem("S", lam, n))
+                == shifted.s_star(lam, n)
+                == shifted.s_star_determinant(lam, n)
             )
-    return checks
 
 
-_SUITE_BUILDERS = {
+# The suites of `verify`, in the order they run. Each builder yields its
+# checks as (label, check) pairs; it reads the caps (and core the seed) from
+# the parsed flags, and gets S, H and I from the run's element memo.
+_SUITES = {
     "core": _suite_core,
     "schur": _suite_schur,
     "duality": _suite_duality,
@@ -463,29 +363,33 @@ def _run_check(fn) -> tuple:
 
 
 def cmd_verify(args) -> int:
-    if args.suite is not None and args.suite not in _SUITES:
-        raise UsageError(f"unknown suite {args.suite!r}; pick from {', '.join(_SUITES)}")
     if args.max_size < 1 or args.max_n < 1:
         raise UsageError("--max-size and --max-n must be at least 1")
-    if args.d < 1:
-        raise UsageError(f"--d must be at least 1, got {args.d}")
     names = [args.suite] if args.suite else list(_SUITES)
-    built = {}  # S_lam(n) by the definition, once per (lam, n) of this run
-    pieces = {}  # its letter-set pieces, once per (lam, m) for every n
+    built = {}  # S, H and I of this run, once per (kind, param, n)
+    pieces = {}  # the letter-set pieces of S, once per (lam, m) for every n
+    constructors = {
+        "S": lambda lam, n: central.schur_element(lam, n, pieces),
+        "H": lambda k, n: central.capelli_H(k, n),
+        "I": lambda k, n: central.nazarov_umeda_I(k, n),
+    }
 
-    def schur(lam, n):
-        # central.schur_element is looked up at call time, so a rebinding of
-        # it sees every real build; each check gets a copy of its own
-        if (lam, n) not in built:
-            built[lam, n] = central.schur_element(lam, n, pieces)
-        x = built[lam, n]
+    def elem(kind, param, n):
+        # S is built by the definition, never as the Harish-Chandra preimage,
+        # which would make `hc-s*` hold by construction. Each constructor is
+        # looked up at call time, so a rebinding of it sees every real build;
+        # each check gets a copy of its own
+        key = kind, param, n
+        if key not in built:
+            built[key] = constructors[kind](param, n)
+        x = built[key]
         return central.CentralElement(dict(x.body), x.n, x.provenance)
 
     lines = []
     summary_checks = []
     failures = 0
     for name in names:
-        checks = _SUITE_BUILDERS[name](args.max_size, args.max_n, args.seed, args.d, schur)
+        checks = list(_SUITES[name](args, elem))
         passed = 0
         for label, fn in checks:
             start = time.perf_counter()
@@ -573,13 +477,10 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
 
     p = sub.add_parser("verify", help="run verification suites")
-    p.add_argument("--suite", help=f"one of {', '.join(_SUITES)}; default all")
+    p.add_argument("--suite", choices=tuple(_SUITES), help="the one suite to run; default all")
     p.add_argument("--max-size", type=int, default=3, help="partition size cap")
     p.add_argument("--max-n", type=int, default=2, help="alphabet size cap")
     p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-    p.add_argument(
-        "--d", type=int, default=2, help="place columns for action checks"
-    )
     _add_output_flags(p)
     return parser
 

@@ -48,7 +48,11 @@ def parse_partition(s: str) -> Partition:
     s = s.strip()
     if not s:
         return ()
-    return check_partition(tuple(int(x) for x in s.split(",")))
+    try:
+        parts = tuple(int(x) for x in s.split(","))
+    except ValueError:
+        raise ValueError(f"not a partition: {s!r}") from None
+    return check_partition(parts)
 
 
 def format_partition(lam: Partition) -> str:
@@ -216,7 +220,10 @@ def parse_tableau(s: str) -> Tableau:
         row = row.strip()
         if not row:
             raise ValueError(f"empty row in tableau {s!r}")
-        rows.append(tuple(int(x) for x in row.split()))
+        try:
+            rows.append(tuple(int(x) for x in row.split()))
+        except ValueError:
+            raise ValueError(f"non-integer letter in tableau {s!r}") from None
     t = tuple(rows)
     if not is_partition(shape_of(t)):
         raise ValueError(f"rows do not form a partition shape: {s!r}")

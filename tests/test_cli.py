@@ -123,14 +123,36 @@ def test_usage_errors(capsys):
             assert "error" in err.lower()
 
 
+# argparse's own errors, and a spec field or partition that is not an
+# integer, each end in one stderr line that names what was wrong
 @pytest.mark.parametrize(
     "argv, message",
     [
         (("element", "--spec"), "error: argument --spec: expected one argument\n"),
         (("element", "--spec", "-:"), "error: argument --spec: expected one argument\n"),
         (("nope",), "error: argument verb: invalid choice: "),
+        (("verify", "--suite", "nope"), "error: argument --suite: invalid choice: 'nope'"),
+        (("verify", "--d", "2"), "error: unrecognized arguments: --d 2\n"),
+        (("element", "--spec", "H:x@n=2"), "error: bad k in element spec: 'x'\n"),
+        (("element", "--spec", "I:x@n=2"), "error: bad k in element spec: 'x'\n"),
+        (("eigen", "--spec", "H:1@n=2", "--mu", "1,,2"), "error: not a partition: '1,,2'\n"),
+        (("element", "--spec", "S:a@n=2"), "error: not a partition: 'a'\n"),
+        (("element", "--spec", "CB:a|1@n=2"), "error: non-integer letter in tableau 'a'\n"),
+        (("element", "--spec", "CIMM:1|a|1@n=2"), "error: bad letter in element spec: 'a'\n"),
     ],
-    ids=["spec-without-value", "spec-taken-for-an-option", "unknown-verb"],
+    ids=[
+        "spec-without-value",
+        "spec-taken-for-an-option",
+        "unknown-verb",
+        "unknown-suite",
+        "removed-d-flag",
+        "bad-H-k",
+        "bad-I-k",
+        "bad-mu",
+        "bad-S-partition",
+        "bad-tableau-letter",
+        "bad-CIMM-letter",
+    ],
 )
 def test_argparse_errors_are_one_line(capsys, argv, message):
     rc, out, err = run(capsys, *argv)
@@ -178,7 +200,8 @@ def test_verify_builds_schur_elements_by_the_definition(capsys, monkeypatch):
 
 def test_verify_builds_each_schur_element_once(capsys, monkeypatch):
     # every suite shares one build by the definition per (lam, n); a check
-    # that empties the S it was handed must not empty the next check's S
+    # that empties the S, H or I it was handed must not empty the next
+    # check's element
     real = central.schur_element
     builds = Counter()
     first_body = {}
@@ -190,7 +213,7 @@ def test_verify_builds_each_schur_element_once(capsys, monkeypatch):
     def check_then_spoil(apply):
         def wrapped(x):
             y = apply(x)
-            if x.provenance.startswith("S:"):
+            if x.provenance[:2] in ("S:", "H:", "I:"):
                 assert x.body == first_body.setdefault(x.provenance, dict(x.body))
                 x.body.clear()
             return y
@@ -207,7 +230,27 @@ def test_verify_builds_each_schur_element_once(capsys, monkeypatch):
     rc, out, _ = run(capsys, "verify", "--max-n", "3", "--max-size", "3")
     assert rc == 0, out
     assert set(builds.values()) == {1}
-    assert {"S:2,1@n=2", "S:2,1@n=3"} <= set(first_body)
+    assert {"S:2,1@n=2", "S:2,1@n=3", "H:2@n=3", "I:2@n=3"} <= set(first_body)
+
+
+def test_verify_builds_each_H_and_I_once(capsys, monkeypatch):
+    # the core suite's route and centrality checks share one build of each
+    # H_k(n) and I_k(n); no library map in that suite builds either itself
+    builds = Counter()
+
+    def counted(kind, real):
+        def build(k, n):
+            builds[kind, k, n] += 1
+            return real(k, n)
+
+        return build
+
+    monkeypatch.setattr(central, "capelli_H", counted("H", central.capelli_H))
+    monkeypatch.setattr(central, "nazarov_umeda_I", counted("I", central.nazarov_umeda_I))
+    rc, out, _ = run(capsys, "verify", "--suite", "core", "--max-n", "4", "--max-size", "4")
+    assert rc == 0, out
+    pairs = {(k, n) for n in range(1, 5) for k in range(1, n + 1)}
+    assert builds == Counter({(kind, k, n): 1 for kind in "HI" for k, n in pairs})
 
 
 def test_element_verbs_build_schur_elements_as_the_hc_preimage(capsys, monkeypatch):
@@ -233,13 +276,6 @@ def test_element_flags_are_exclusive(capsys):
             rc, out, err = run(capsys, verb, *flags, "--n", "3", *extra)
             message = f"error: give only one of --spec, --lambda, --k; got {named}\n"
             assert (rc, out, err) == (2, "", message), (verb, flags)
-
-
-def test_verify_rejects_d_below_one(capsys):
-    # with no place column the action checks see only the constant monomial
-    for d in ("0", "-1"):
-        rc, out, err = run(capsys, "verify", "--suite", "core", "--d", d)
-        assert (rc, out, err) == (2, "", f"error: --d must be at least 1, got {d}\n")
 
 
 def test_verification_failures(capsys):
