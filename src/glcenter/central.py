@@ -179,13 +179,12 @@ def double_young_capelli(S, T) -> EnvelopingElement:
 
 
 def _schur_shape(lam: Partition, n: int) -> tuple:
-    """(lam, lam~) after checking that lam is a partition and that lam~ has
-    at most n rows, the condition for S_lam(n) to be defined."""
+    """(lam, lam~) after checking that lam is a partition with at most n
+    rows, the condition for S_lam(n) to be defined."""
     lam = check_partition(lam)
-    lam_t = conjugate(lam)
-    if lam_t and lam_t[0] > n:
-        raise ValueError(f"schur element needs at most n rows in the conjugate, got {lam_t[0]} > {n}")
-    return lam, lam_t
+    if len(lam) > n:
+        raise ValueError(f"schur element needs at most n rows in lambda, got {len(lam)} > {n}")
+    return lam, conjugate(lam)
 
 
 def schur_element(lam: Partition, n: int, pieces: dict | None = None) -> CentralElement:

@@ -104,8 +104,6 @@ def build_element(spec: str) -> central.CentralElement:
             "DYC": central.double_young_capelli,
         }[kind]
         return central.CentralElement(build(s, t), n, spec)
-    except UsageError:
-        raise
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 

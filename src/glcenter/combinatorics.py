@@ -49,10 +49,9 @@ def parse_partition(s: str) -> Partition:
     if not s:
         return ()
     try:
-        parts = tuple(int(x) for x in s.split(","))
+        return check_partition(int(x) for x in s.split(","))
     except ValueError:
         raise ValueError(f"not a partition: {s!r}") from None
-    return check_partition(parts)
 
 
 def format_partition(lam: Partition) -> str:

@@ -23,9 +23,9 @@ the factors to the right of the tracked one; only the shorter contraction
 words recurse. A word with no virtual column symbol left is replaced by its
 PBW normal form, unless a virtual row symbol is left in it: then the input
 was not balanced, and devirtualization raises. Both rewriting loops, the
-push and the PBW sort, write the one or two bracket terms in place, and the
-push tests symbol classes inline, with no helper call per step;
-`supercommutator` serves `adjoint` and the tests.
+push and the PBW sort, write the one or two bracket terms in place, and so
+do the commutators of `is_central`; the push tests symbol classes inline,
+with no helper call per step. `supercommutator` serves the tests.
 """
 
 from __future__ import annotations
@@ -253,20 +253,6 @@ def devirtualize(x: EnvelopingElement) -> EnvelopingElement:
     return out
 
 
-def adjoint(g: Gen, x: EnvelopingElement) -> EnvelopingElement:
-    """ad(e_{i,j}) acting by derivations on words; e_{i,j} must be proper
-    (hence even, so no Koszul signs arise)."""
-    if not (is_proper(g[0]) and is_proper(g[1])):
-        raise ValueError("adjoint generator must be proper")
-    out: EnvelopingElement = {}
-    for word, coeff in x.items():
-        for k in range(len(word)):
-            for (gen,), c in supercommutator(g, word[k]).items():
-                w = word[:k] + (gen,) + word[k + 1 :]
-                add_term(out, w, coeff * c)
-    return out
-
-
 def check_letters(x: EnvelopingElement, n: int) -> None:
     """Raise unless every letter of x lies in 1..n, i.e. x is in U(gl(n))."""
     if not {s for word in x for g in word for s in g} <= set(range(1, n + 1)):
@@ -293,7 +279,18 @@ def is_central(x: EnvelopingElement, n: int) -> bool:
         (level if weight_zero else charged)[word] = coeff
     if pbw_normal_form(charged):
         return False
-    return not any(pbw_normal_form(adjoint((i, i + 1), level)) for i in range(1, n))
+    for i in range(1, n):
+        # [e_{i,i+1}, e_{c,d}] = d_{i+1,c} e_{i,d} - d_{d,i} e_{c,i+1}; all even
+        bracket: EnvelopingElement = {}
+        for word, coeff in level.items():
+            for k, (c, d) in enumerate(word):
+                if c == i + 1:
+                    add_term(bracket, word[:k] + ((i, d),) + word[k + 1 :], coeff)
+                if d == i:
+                    add_term(bracket, word[:k] + ((c, i + 1),) + word[k + 1 :], -coeff)
+        if pbw_normal_form(bracket):
+            return False
+    return True
 
 
 def word_sort_key(word: Word) -> tuple:

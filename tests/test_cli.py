@@ -137,6 +137,9 @@ def test_usage_errors(capsys):
         (("element", "--spec", "I:x@n=2"), "error: bad k in element spec: 'x'\n"),
         (("eigen", "--spec", "H:1@n=2", "--mu", "1,,2"), "error: not a partition: '1,,2'\n"),
         (("element", "--spec", "S:a@n=2"), "error: not a partition: 'a'\n"),
+        (("element", "--spec", "S:0@n=2"), "error: not a partition: '0'\n"),
+        (("eigen", "--spec", "H:1@n=2", "--mu", "3,0"), "error: not a partition: '3,0'\n"),
+        (("element", "--spec", "S:1,1,1@n=2"), "error: schur element needs at most n rows in lambda, got 3 > 2\n"),
         (("element", "--spec", "CB:a|1@n=2"), "error: non-integer letter in tableau 'a'\n"),
         (("element", "--spec", "CIMM:1|a|1@n=2"), "error: bad letter in element spec: 'a'\n"),
     ],
@@ -150,6 +153,9 @@ def test_usage_errors(capsys):
         "bad-I-k",
         "bad-mu",
         "bad-S-partition",
+        "zero-S-part",
+        "zero-mu-part",
+        "too-many-rows",
         "bad-tableau-letter",
         "bad-CIMM-letter",
     ],

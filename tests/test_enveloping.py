@@ -6,10 +6,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from glcenter import enveloping
-from glcenter.central import _left_block, _right_block, capelli_bitableau, capelli_H
+from glcenter.central import _left_block, _right_block, capelli_bitableau, capelli_H, schur_element
 from glcenter.enveloping import (
     act,
-    adjoint,
     devirtualize,
     elem_mul,
     element_from_json_obj,
@@ -282,10 +281,6 @@ def test_devirtualize_matches_virtual_action():
 
 
 def test_adjoint_and_centrality():
-    assert adjoint((1, 2), {((2, 2),): Fraction(1)}) == {((1, 2),): 1}
-    assert adjoint((1, 2), one()) == {}
-    with pytest.raises(ValueError):
-        adjoint((1, alpha(1)), e(1, 1))
     casimir_degree_one = {((1, 1),): Fraction(1), ((2, 2),): Fraction(1)}
     assert is_central(casimir_degree_one, 2)
     assert not is_central(e(1, 2), 2)
@@ -385,8 +380,9 @@ _GL3_BLOCKS = (
 
 
 def _is_central_brute_force(x, n):
+    """The definition: x e_ij and e_ij x have one PBW form for every i, j."""
     return all(
-        not pbw_normal_form(adjoint((i, j), x))
+        pbw_normal_form(elem_mul(x, e(i, j))) == pbw_normal_form(elem_mul(e(i, j), x))
         for i in range(1, n + 1)
         for j in range(1, n + 1)
     )
@@ -425,8 +421,8 @@ def _sum(*xs):
     return out
 
 
-def test_is_central_matches_all_generators_at_n4():
-    h1, h2, h3 = (capelli_H(k, 4).body for k in (1, 2, 3))
+def _check_is_central_cases(n):
+    h1, h2, h3 = (capelli_H(k, n).body for k in (1, 2, 3))
     e12_e21 = pbw_normal_form(elem_mul(e(1, 2), e(2, 1)))
     cycle = pbw_normal_form(elem_mul(elem_mul(e(1, 2), e(2, 3)), e(3, 1)))
     cases = [
@@ -442,9 +438,20 @@ def test_is_central_matches_all_generators_at_n4():
         (_sum(h2, e(4, 1)), False),
         (_sum(h2, elem_mul(e(1, 2), e(1, 3)), elem_scale(elem_mul(e(1, 3), e(1, 2)), -1)), True),
     ]
+    if n == 5:
+        s21 = schur_element((2, 1), 5).body
+        cases += [(s21, True), (_sum(s21, e12_e21), False)]
     for x, central in cases:
-        assert _is_central_brute_force(x, 4) == central
-        assert is_central(x, 4) == central
+        assert _is_central_brute_force(x, n) == central
+        assert is_central(x, n) == central
+
+
+def test_is_central_matches_all_generators_at_n4():
+    _check_is_central_cases(4)
+
+
+def test_is_central_matches_all_generators_at_n5():
+    _check_is_central_cases(5)
 
 
 def test_is_central_rejects_letters_outside_gl_n():
