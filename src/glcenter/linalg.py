@@ -26,6 +26,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt, lcm
 
+from .lincomb import exact
+
 P = (1 << 61) - 1
 # Rational reconstruction bound: x = r/s with |r|, s <= _BOUND is unique mod P.
 _BOUND = isqrt(P // 2)
@@ -53,14 +55,6 @@ def _rref(rows, ncols):
     return pivots
 
 
-def _exact(x):
-    if type(x) is int or type(x) is Fraction:
-        return x
-    if isinstance(x, float):
-        raise TypeError(f"float entry {x!r}: linalg needs exact rationals")
-    return Fraction(x)
-
-
 def _augmented(a, bs):
     """A copy of [A | b...] as rows of ints and Fractions, and the column
     count of A; rejects ragged rows and right-hand sides of the wrong length."""
@@ -69,12 +63,12 @@ def _augmented(a, bs):
     for row in a:
         if len(row) != n:
             raise ValueError(f"row of length {len(row)} in a matrix with {n} columns")
-        rows.append([_exact(x) for x in row])
+        rows.append([exact(x) for x in row])
     for b in bs:
         if len(b) != len(a):
             raise ValueError(f"right-hand side of length {len(b)} for {len(a)} equations")
         for row, x in zip(rows, b):
-            row.append(_exact(x))
+            row.append(exact(x))
     return rows, n
 
 
@@ -203,5 +197,5 @@ def solve_many(a, bs):
 def solve(a, b):
     """Solve a x = b exactly; None when inconsistent."""
     if not a:
-        return None if any([_exact(x) for x in b]) else []
+        return None if any([exact(x) for x in b]) else []
     return solve_many(a, [b])[0]

@@ -13,6 +13,19 @@ concatenation, exponent addition).
 
 from __future__ import annotations
 
+from fractions import Fraction
+
+
+def exact(x):
+    """x as an int or a Fraction; anything else that `Fraction` accepts
+    exactly, such as the string '1/3', becomes a Fraction. A float raises,
+    because `Fraction(0.1)` is not one tenth."""
+    if type(x) is int or type(x) is Fraction:
+        return x
+    if isinstance(x, float):
+        raise TypeError(f"float {x!r}: coefficients and values must be exact rationals")
+    return Fraction(x)
+
 
 def add_term(x: dict, key, coeff) -> None:
     """x += coeff * key, in place."""

@@ -16,17 +16,10 @@ import json
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 
-from .combinatorics import (
-    Partition,
-    check_partition,
-    conjugate,
-    enumerate_rssyt,
-    permutation_sign,
-)
+from .combinatorics import Partition, check_partition, conjugate, enumerate_rssyt
 from .enveloping import check_letters
-from .lincomb import add_into, add_term, format_terms, prefix_product
+from .lincomb import add_into, add_term, exact, format_terms, prefix_product
 
 
 @dataclass
@@ -69,7 +62,7 @@ def sp_prod(n: int, factors) -> ShiftedPolynomial:
 
 
 def sp_eval(p: ShiftedPolynomial, values) -> Fraction:
-    values = [v if type(v) is int else Fraction(v) for v in values]
+    values = [exact(v) for v in values]
     if len(values) != p.n:
         raise ValueError("value count must match variable count")
     total = 0
@@ -82,24 +75,21 @@ def sp_eval(p: ShiftedPolynomial, values) -> Fraction:
     return Fraction(total)
 
 
+def _substitute(p: ShiftedPolynomial, images) -> ShiftedPolynomial:
+    """p with each x_j replaced by the polynomial images[j - 1]."""
+    out = sp_zero(p.n)
+    for mono, c in p.terms.items():
+        factors = (images[j] for j, e in enumerate(mono) for _ in range(e))
+        add_into(out.terms, sp_prod(p.n, factors).terms, c)
+    return out
+
+
 def is_shifted_symmetric(p: ShiftedPolynomial) -> bool:
     n = p.n
     for i in range(1, n):
-        swapped = sp_zero(n)
-        for mono, c in p.terms.items():
-            factors = []
-            for j, e in enumerate(mono, start=1):
-                if not e:
-                    continue
-                if j == i:
-                    base = sp_linear(n, i + 1, -1)
-                elif j == i + 1:
-                    base = sp_linear(n, i, 1)
-                else:
-                    base = sp_linear(n, j, 0)
-                factors.extend([base] * e)
-            add_into(swapped.terms, sp_prod(n, factors).terms, c)
-        if swapped.terms != p.terms:
+        images = [sp_linear(n, j, 0) for j in range(1, n + 1)]
+        images[i - 1], images[i] = sp_linear(n, i + 1, -1), sp_linear(n, i, 1)
+        if _substitute(p, images).terms != p.terms:
             return False
     return True
 
@@ -125,70 +115,60 @@ def _falling(n: int, i: int, shift: int, m: int) -> ShiftedPolynomial:
     return sp_prod(n, (sp_linear(n, i, shift - t) for t in range(m)))
 
 
-def _det(n: int, entries) -> ShiftedPolynomial:
-    """Determinant of a k x k matrix of polynomials via permutation expansion."""
-    k = len(entries)
-    out = sp_zero(n)
-    for perm in permutations(range(k)):
-        term = sp_prod(n, (entries[perm[c]][c] for c in range(k)))
-        add_into(out.terms, term.terms, permutation_sign(perm))
-    return out
-
-
-def _lex_leading(p: ShiftedPolynomial):
-    mono = max(p.terms)
-    return mono, p.terms[mono]
-
-
-def sp_divide_exact(num: ShiftedPolynomial, den: ShiftedPolynomial) -> ShiftedPolynomial:
-    """Exact multivariate division on the lexicographic order; raises when a
-    remainder step is not divisible by the leading term of den."""
-    if not den.terms:
-        raise ZeroDivisionError("division by zero polynomial")
-    dmono, dcoeff = _lex_leading(den)
-    quot = sp_zero(num.n)
-    rem = ShiftedPolynomial(num.n, dict(num.terms))
-    while rem.terms:
-        mono, coeff = _lex_leading(rem)
-        q = tuple(a - b for a, b in zip(mono, dmono))
-        if any(e < 0 for e in q):
-            raise ValueError("polynomial division failed to be exact")
-        if type(coeff) is int and type(dcoeff) is int and not coeff % dcoeff:
-            qcoeff = coeff // dcoeff
-        else:
-            qcoeff = Fraction(coeff) / dcoeff
-        qterm = ShiftedPolynomial(num.n, {q: qcoeff})
-        add_into(quot.terms, qterm.terms)
-        add_into(rem.terms, sp_mul(qterm, den).terms, -1)
-    return quot
+def _divide_by_difference(p: ShiftedPolynomial, i: int, j: int) -> ShiftedPolynomial:
+    """p / (x_i - x_j) by synthetic division in x_i; raises when a remainder
+    is left."""
+    x_j = sp_linear(p.n, j, 0)
+    slices: dict = {}  # the coefficient of x_i^k, a polynomial without x_i
+    for mono, c in p.terms.items():
+        slices.setdefault(mono[i - 1], {})[mono[: i - 1] + (0,) + mono[i:]] = c
+    out: dict = {}
+    carry = sp_zero(p.n)  # the coefficient of x_i^(k - 1) in the quotient
+    for k in range(max(slices, default=0), -1, -1):
+        carry = sp_mul(x_j, carry)
+        add_into(carry.terms, slices.get(k, {}))
+        if k:
+            out.update((mono[: i - 1] + (k - 1,) + mono[i:], c) for mono, c in carry.terms.items())
+    if carry.terms:
+        raise ValueError("polynomial division failed to be exact")
+    return ShiftedPolynomial(p.n, out)
 
 
 def s_star_determinant(lam: Partition, n: int) -> ShiftedPolynomial:
     """det[(x_i + n - i) falling (lam_j + n - j)] / det[(x_i + n - i) falling (n - j)].
-    Both determinants expand over all n! permutations, so this route is a
-    cross-check of `s_star` in `verify` and the tests, not a hot path."""
+    Both are taken in y_i = x_i + n - i. Row i of the numerator is a
+    polynomial in y_i alone, so it is expanded row by row over the sets of
+    columns already used (Laplace), 2^n n steps. A falling power is monic in
+    y_i, so the denominator is the Vandermonde product prod_{i<j} (y_i - y_j);
+    the numerator is divided by its factors one at a time. This route shares
+    no code with `s_star`, which it cross-checks in `verify` and the tests."""
     lam = check_partition(lam)
     if len(lam) > n:
         raise ValueError("shape needs at most n rows")
     padded = lam + (0,) * (n - len(lam))
-    num = _det(
-        n,
-        [
-            [_falling(n, i, n - i, padded[j - 1] + n - j) for j in range(1, n + 1)]
-            for i in range(1, n + 1)
-        ],
-    )
-    den = _det(
-        n,
-        [[_falling(n, i, n - i, n - j) for j in range(1, n + 1)] for i in range(1, n + 1)],
-    )
-    return sp_divide_exact(num, den)
+    minors = {0: sp_const(n, 1)}  # bitmask of the columns of rows 1..i -> minor
+    for i in range(1, n + 1):
+        row = [_falling(n, i, 0, padded[j] + n - 1 - j) for j in range(n)]
+        grown: dict = {}
+        for used, minor in minors.items():
+            for j in range(n):
+                if not used >> j & 1:
+                    # a sign flip for each used column to the right of j
+                    sign = -1 if (used >> j).bit_count() % 2 else 1
+                    add_into(grown.setdefault(used | 1 << j, {}), sp_mul(row[j], minor).terms, sign)
+        minors = {used: ShiftedPolynomial(n, terms) for used, terms in grown.items()}
+    out = minors[(1 << n) - 1]
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            out = _divide_by_difference(out, i, j)
+    return _substitute(out, [sp_linear(n, i, n - i) for i in range(1, n + 1)])
 
 
 def s_star(lam: Partition, n: int) -> ShiftedPolynomial:
     """Shifted Schur polynomial: the sum over reverse semistandard tableaux T
-    of the product over cells s of (x_{T(s)} - c(s)). The determinant ratio
-    `s_star_determinant` is its cross-check in `verify` and the tests."""
+    of the product over cells s of (x_{T(s)} - c(s)). `s_star_determinant`,
+    the determinant ratio over its Vandermonde denominator, is its
+    independent cross-check in `verify` and the tests."""
     lam = check_partition(lam)
     if len(lam) > n:
         raise ValueError("shape needs at most n rows")

@@ -1,6 +1,6 @@
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, permutations
 from math import prod
 
 import pytest
@@ -15,7 +15,14 @@ from glcenter.central import (
     nazarov_umeda_I,
     schur_element,
 )
-from glcenter.combinatorics import conjugate, contains, hook_number, partitions_upto, size
+from glcenter.combinatorics import (
+    conjugate,
+    contains,
+    hook_number,
+    partitions_upto,
+    permutation_sign,
+    size,
+)
 from glcenter.enveloping import elem_mul, pbw_normal_form
 from glcenter.lincomb import add, add_into, add_term, sub
 from glcenter.shifted import (
@@ -36,7 +43,6 @@ from glcenter.shifted import (
     shifted_from_json,
     shifted_to_json,
     sp_const,
-    sp_divide_exact,
     sp_eval,
     sp_linear,
     sp_mul,
@@ -86,22 +92,18 @@ def test_is_shifted_symmetric():
 
 
 def test_s_star_presentations_agree():
-    for n in (2, 3):
-        for lam in partitions_upto(3):
-            if len(lam) > n:
-                continue
-            assert s_star_determinant(lam, n) == s_star(lam, n)
-    for lam in partitions_upto(4):
-        assert s_star_determinant(lam, 4) == s_star(lam, 4), lam
-    # the size of the s_star hot path in the shifted-n5 benchmark
-    assert s_star_determinant((2, 1), 5) == s_star((2, 1), 5)
+    for n in range(6):
+        for lam in partitions_upto(5):
+            if len(lam) <= n:
+                assert s_star_determinant(lam, n) == s_star(lam, n), (lam, n)
+    for lam in [(3, 2), (5,)]:
+        assert s_star_determinant(lam, 6) == s_star(lam, 6), lam
 
 
 def test_s_star_is_the_tableau_route(monkeypatch):
-    # the n!-term determinant is a check only, never on the s_star path
+    # the determinant ratio is a check only, never on the s_star path
     cases = [(lam, n) for n in range(1, 6) for lam in partitions_upto(4) if len(lam) <= n]
-    # the determinant takes seconds per shape at n = 5, so one shape is compared there
-    expected = {c: s_star_determinant(*c) for c in cases if c[1] < 5 or c[0] == (2, 1)}
+    expected = {c: s_star_determinant(*c) for c in cases}
 
     def refuse(lam, n):
         raise AssertionError("s_star called the determinant route")
@@ -109,8 +111,88 @@ def test_s_star_is_the_tableau_route(monkeypatch):
     monkeypatch.setattr(shifted, "s_star_determinant", refuse)
     for case in cases:
         p = s_star(*case)
-        if case in expected:
-            assert p == expected[case], case
+        assert p == expected[case], case
+
+
+def _det_by_permutations(n, entries):
+    """Determinant of a k x k matrix of polynomials by its k!-term
+    permutation expansion: the reference for the row-by-row Laplace
+    expansion in s_star_determinant."""
+    k = len(entries)
+    out = sp_zero(n)
+    for perm in permutations(range(k)):
+        term = sp_prod(n, (entries[perm[c]][c] for c in range(k)))
+        add_into(out.terms, term.terms, permutation_sign(perm))
+    return out
+
+
+def sp_divide_exact(num, den):
+    """Exact multivariate division on the lexicographic order; raises when a
+    remainder step is not divisible by the leading term of den. The
+    reference for the division by the Vandermonde factors in
+    s_star_determinant."""
+    if not den.terms:
+        raise ZeroDivisionError("division by zero polynomial")
+    dmono = max(den.terms)
+    dcoeff = den.terms[dmono]
+    quot = sp_zero(num.n)
+    rem = ShiftedPolynomial(num.n, dict(num.terms))
+    while rem.terms:
+        mono = max(rem.terms)
+        coeff = rem.terms[mono]
+        q = tuple(a - b for a, b in zip(mono, dmono))
+        if any(e < 0 for e in q):
+            raise ValueError("polynomial division failed to be exact")
+        if type(coeff) is int and type(dcoeff) is int and not coeff % dcoeff:
+            qcoeff = coeff // dcoeff
+        else:
+            qcoeff = Fraction(coeff) / dcoeff
+        qterm = ShiftedPolynomial(num.n, {q: qcoeff})
+        add_into(quot.terms, qterm.terms)
+        add_into(rem.terms, sp_mul(qterm, den).terms, -1)
+    return quot
+
+
+def _falling_matrix(parts, n, in_y=False):
+    """[(x_i + n - i) falling (parts_j + n - j)] for parts padded to length n;
+    with in_y, the same in the variables y_i = x_i + n - i."""
+    parts = tuple(parts) + (0,) * (n - len(parts))
+
+    def falling(i, m):
+        shift = 0 if in_y else n - i
+        return sp_prod(n, (sp_linear(n, i, shift - t) for t in range(m)))
+
+    return [[falling(i, parts[j - 1] + n - j) for j in range(1, n + 1)] for i in range(1, n + 1)]
+
+
+def test_s_star_determinant_matches_the_full_expansion():
+    # both determinants expanded over all n! permutations, then one general
+    # division: the route s_star_determinant replaced
+    def typed(p):
+        return {m: (c, type(c)) for m, c in p.terms.items()}
+
+    for n in range(5):
+        den = _det_by_permutations(n, _falling_matrix((), n))
+        for lam in partitions_upto(4):
+            if len(lam) <= n:
+                reference = sp_divide_exact(_det_by_permutations(n, _falling_matrix(lam, n)), den)
+                assert typed(s_star_determinant(lam, n)) == typed(reference), (lam, n)
+
+
+def test_vandermonde_division_rejects_a_perturbed_numerator():
+    # in y_i = x_i + n - i the numerator is det[y_i falling (lam_j + n - j)],
+    # and the denominator's factors are y_i - y_j
+    n, factors = 3, [(1, 2), (1, 3), (2, 3)]
+    num = _det_by_permutations(n, _falling_matrix((2, 1), n, in_y=True))
+    quotient = num
+    for i, j in factors:
+        quotient = shifted._divide_by_difference(quotient, i, j)
+    to_x = [sp_linear(n, i, n - i) for i in (1, 2, 3)]
+    assert shifted._substitute(quotient, to_x) == s_star((2, 1), n)
+    add_term(num.terms, (1, 0, 0), 1)
+    with pytest.raises(ValueError, match="failed to be exact"):
+        for i, j in factors:
+            num = shifted._divide_by_difference(num, i, j)
 
 
 def _estar_by_combinations(k, n):
@@ -374,6 +456,16 @@ def test_sp_eval_accepts_fraction_values():
     value = sp_eval(p, [Fraction(1, 3), 4])
     assert type(value) is Fraction and value == Fraction(4, 3)
     assert sp_eval(e_star(2, 2), [Fraction(1, 2), Fraction(3, 2)]) == Fraction(9, 4)
+
+
+def test_sp_eval_rejects_floats():
+    # a float would become an inexact Fraction such as 3602879701896397/2**55
+    with pytest.raises(TypeError):
+        sp_eval(e_star(1, 1), [0.1])
+    with pytest.raises(TypeError):
+        sp_eval(e_star(2, 2), [1, 2.0])
+    assert sp_eval(e_star(1, 2), ["1/3", 2]) == Fraction(7, 3)
+    assert type(sp_eval(e_star(1, 2), [1, 2])) is Fraction
 
 
 def test_harish_chandra_of_integer_body():
