@@ -26,7 +26,8 @@ devirtualization and the PBW sort, so the S whose letters are exactly
 {1..m} give one piece B_m(lam), independent of n, and every m-subset of
 {1..n} is a relabeled copy of it. `verify` shares the pieces across n.
 H_k(n) and I_k(n) are summed by letter set too, over their index tuples,
-and `_relabeled_sum` is the one relabeling route of all three.
+and `_relabeled_sum` is the one relabeling route of all three. All three
+stay in int: each piece is divided exactly by H(lam~), or by k!.
 `schur_element_hc` builds the same element as the Harish-Chandra preimage
 of s*_lam, the route the CLI takes.
 """
@@ -192,7 +193,7 @@ def schur_element(lam: Partition, n: int, pieces: dict | None = None) -> Central
     of shape lam~ with entries in 1..n. This is the definition, which
     `verify` and the tests build S by, summed by letter set:
 
-        S_lam(n) = (1/H(lam~)) sum over A in {1..n} of f_A(B_|A|(lam)),
+        S_lam(n) = sum over A in {1..n} of f_A(B_|A|(lam) / H(lam~)),
 
     where the piece B_m(lam) is the image of the [box S|S] whose letter set
     is exactly {1..m}, and f_A relabels letter i as the i-th smallest element
@@ -213,7 +214,6 @@ def schur_element(lam: Partition, n: int, pieces: dict | None = None) -> Central
         if (lam, m) not in pieces:
             pieces[lam, m] = _schur_piece(lam_t, m)
     body = _relabeled_sum([(m, pieces[lam, m]) for m in ms], n)
-    body = scale(body, Fraction(1, hook_number(lam_t)))
     return CentralElement(body, n, f"S:{format_partition(lam)}@n={n}")
 
 
@@ -230,14 +230,22 @@ def _relabeled_sum(pieces: list, n: int) -> EnvelopingElement:
 
 
 def _schur_piece(lam_t: Partition, m: int) -> EnvelopingElement:
-    """B_m: the sum of the images of [box S|S] over the row-increasing S of
-    shape lam~ whose letter set is exactly {1..m}, unscaled."""
+    """B_m / H(lam~), where B_m is the sum of the images of [box S|S] over
+    the row-increasing S of shape lam~ whose letter set is exactly {1..m}.
+    H(lam~) divides B_m exactly, so S_lam(n) stays in int."""
     table = _symmetrizer(lam_t, rows=True)
     piece: EnvelopingElement = {}
     for S in enumerate_row_increasing(lam_t, m):
         if len({x for row in S for x in row}) == m:
             add_into(piece, devirtualize(_symmetrized_words(table, S, S)))
-    return piece
+    return _divide_exact(piece, hook_number(lam_t))
+
+
+def _divide_exact(piece: EnvelopingElement, d: int) -> EnvelopingElement:
+    """piece / d for int coefficients; one that d does not divide raises."""
+    if any(c % d for c in piece.values()):
+        raise ValueError(f"a piece coefficient is not divisible by {d}")
+    return {word: c // d for word, c in piece.items()}
 
 
 def schur_element_hc(lam: Partition, n: int) -> CentralElement:
@@ -250,22 +258,24 @@ def schur_element_hc(lam: Partition, n: int) -> CentralElement:
     return CentralElement(body, n, f"S:{format_partition(lam)}@n={n}")
 
 
-def _one_row(tuples, k: int, n: int, virtual, weight) -> EnvelopingElement:
-    """Image of the sum of weight(idx) [idx reversed|idx] over idx in
-    tuples(range(1, n + 1), k), one row on the single virtual symbol
-    virtual(1), summed by letter set as in `schur_element`: the idx whose
-    letter set is exactly {1..m} give one piece, devirtualized once and
-    relabeled onto every m-subset of {1..n}. weight must depend only on the
-    multiplicities of the letters of idx, which relabeling keeps."""
+def _one_row(tuples, k: int, n: int, virtual) -> EnvelopingElement:
+    """Image of the sum of [idx reversed|idx] / (h_1! ... h_n!) over idx in
+    tuples(range(1, n + 1), k), h_j the number of entries equal to j, one
+    row on the single virtual symbol virtual(1), summed by letter set as in
+    `schur_element`: the idx whose letter set is exactly {1..m} give one
+    piece, relabeled onto every m-subset of {1..n}. A piece weights each
+    word by the int `_multinomial` k!/(h_1! ... h_n!), which relabeling
+    keeps, and is divided by k! exactly once devirtualized, so the result
+    stays in int."""
     pieces = []
     for m in range(1, min(k, n) + 1):
         words = {
-            _left_block((i[::-1],), virtual) + _right_block((i,), virtual): weight(i)
+            _left_block((i[::-1],), virtual) + _right_block((i,), virtual): _multinomial(i)
             for i in tuples(range(1, m + 1), k)
             if len(set(i)) == m
         }
         if words:
-            pieces.append((m, devirtualize(words)))
+            pieces.append((m, _divide_exact(devirtualize(words), factorial(k))))
     return _relabeled_sum(pieces, n)
 
 
@@ -274,7 +284,7 @@ def capelli_H(k: int, n: int) -> CentralElement:
     built on a single positive virtual symbol."""
     if not 1 <= k <= n:
         raise ValueError(f"H_k needs 1 <= k <= n, got k={k}, n={n}")
-    body = _one_row(combinations, k, n, alpha, lambda idx: 1)
+    body = _one_row(combinations, k, n, alpha)
     return CentralElement(body, n, f"H:{k}@n={n}")
 
 
@@ -311,7 +321,12 @@ def _matrix_entry(i: int, j: int, shift: int) -> EnvelopingElement:
 
 def _multiplicity_weight(idx: tuple) -> Fraction:
     """1/(h_1! ... h_n!), where h_j counts the entries of idx equal to j."""
-    return Fraction(1, prod(map(factorial, Counter(idx).values())))
+    return Fraction(_multinomial(idx), factorial(len(idx)))
+
+
+def _multinomial(idx: tuple) -> int:
+    """The number of distinct rearrangements of idx, k!/(h_1! ... h_n!)."""
+    return factorial(len(idx)) // prod(map(factorial, Counter(idx).values()))
 
 
 def nazarov_umeda_I(k: int, n: int) -> CentralElement:
@@ -320,7 +335,7 @@ def nazarov_umeda_I(k: int, n: int) -> CentralElement:
     symbol, one per weakly increasing k-tuple with h_j entries equal to j."""
     if k < 1:
         raise ValueError(f"I_k needs k >= 1, got k={k}")
-    body = _one_row(combinations_with_replacement, k, n, beta, _multiplicity_weight)
+    body = _one_row(combinations_with_replacement, k, n, beta)
     return CentralElement(body, n, f"I:{k}@n={n}")
 
 

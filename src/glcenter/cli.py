@@ -420,23 +420,17 @@ def cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
-def _add_output_flags(p) -> None:
-    p.add_argument(
-        "--format", choices=("text", "json"), default="text", help="output format"
-    )
-    p.add_argument("--out", metavar="FILE", help="write output to FILE instead of stdout")
-
-
-def _add_element_flags(p) -> None:
-    p.add_argument("--spec", help="element spec KIND:payload@n=N")
-    p.add_argument(
-        "--lambda",
-        dest="lam",
-        metavar="PARTITION",
-        help="shorthand for --spec S:PARTITION@n=N (needs --n)",
-    )
-    p.add_argument("--k", type=int, help="shorthand for --spec H:K@n=N (needs --n)")
-    p.add_argument("--n", type=int, help="proper alphabet size for --lambda/--k")
+# The verbs, in --help order, each with its handler and its help line.
+# `_build_parser` gives `verify` its suite flags and every other verb the
+# element flags; `main` calls the handler of the verb given.
+_VERBS = {
+    "element": (cmd_element, "build an element and print its PBW form"),
+    "eigen": (cmd_eigen, "eigenvalue on the highest weight module of --mu"),
+    "hc": (cmd_center_map, "Harish-Chandra image as a shifted symmetric polynomial"),
+    "dual": (cmd_center_map, "apply the duality involution"),
+    "project": (cmd_center_map, "project one alphabet letter away"),
+    "verify": (cmd_verify, "run verification suites"),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -447,50 +441,26 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="glcenter",
-        description="Exact computations in the center of U(gl(n)).",
-    )
+    parser = _Parser(prog="glcenter", description="Exact computations in the center of U(gl(n)).")
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("element", help="build an element and print its PBW form")
-    _add_element_flags(p)
-    _add_output_flags(p)
-
-    p = sub.add_parser("eigen", help="eigenvalue on the highest weight module of --mu")
-    _add_element_flags(p)
-    p.add_argument("--mu", metavar="PARTITION", help="highest weight as a partition")
-    _add_output_flags(p)
-
-    p = sub.add_parser("hc", help="Harish-Chandra image as a shifted symmetric polynomial")
-    _add_element_flags(p)
-    _add_output_flags(p)
-
-    p = sub.add_parser("dual", help="apply the duality involution")
-    _add_element_flags(p)
-    _add_output_flags(p)
-
-    p = sub.add_parser("project", help="project one alphabet letter away")
-    _add_element_flags(p)
-    _add_output_flags(p)
-
-    p = sub.add_parser("verify", help="run verification suites")
-    p.add_argument("--suite", choices=tuple(_SUITES), help="the one suite to run; default all")
-    p.add_argument("--max-size", type=int, default=3, help="partition size cap")
-    p.add_argument("--max-n", type=int, default=2, help="alphabet size cap")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-    _add_output_flags(p)
+    for verb, (handler, help_line) in _VERBS.items():
+        p = sub.add_parser(verb, help=help_line)
+        if handler is cmd_verify:
+            p.add_argument("--suite", choices=tuple(_SUITES), help="the one suite to run; default all")
+            p.add_argument("--max-size", type=int, default=3, help="partition size cap")
+            p.add_argument("--max-n", type=int, default=2, help="alphabet size cap")
+            p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
+        else:
+            p.add_argument("--spec", help="element spec KIND:payload@n=N")
+            p.add_argument("--lambda", dest="lam", metavar="PARTITION",
+                           help="shorthand for --spec S:PARTITION@n=N (needs --n)")
+            p.add_argument("--k", type=int, help="shorthand for --spec H:K@n=N (needs --n)")
+            p.add_argument("--n", type=int, help="proper alphabet size for --lambda/--k")
+        if handler is cmd_eigen:
+            p.add_argument("--mu", metavar="PARTITION", help="highest weight as a partition")
+        p.add_argument("--format", choices=("text", "json"), default="text", help="output format")
+        p.add_argument("--out", metavar="FILE", help="write output to FILE instead of stdout")
     return parser
-
-
-_DISPATCH = {
-    "element": cmd_element,
-    "eigen": cmd_eigen,
-    "hc": cmd_center_map,
-    "dual": cmd_center_map,
-    "project": cmd_center_map,
-    "verify": cmd_verify,
-}
 
 
 def main(argv=None) -> int:
@@ -500,7 +470,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return _DISPATCH[args.verb](args)
+        return _VERBS[args.verb][0](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -30,10 +30,9 @@ with no helper call per step. `supercommutator` serves the tests.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate
 
-from .lincomb import add_into, add_term, format_terms
+from .lincomb import add_into, add_term, format_terms, parse_coeff
 from .superspace import (
     SuperPolynomial,
     _sym_from_json,
@@ -322,5 +321,5 @@ def element_from_json_obj(obj: dict) -> EnvelopingElement:
         word = tuple(
             (_sym_from_json(a), _sym_from_json(b)) for a, b in item["word"]
         )
-        add_term(out, word, Fraction(item["coeff"]))
+        add_term(out, word, parse_coeff(item["coeff"]))
     return out

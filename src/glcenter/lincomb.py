@@ -8,7 +8,9 @@ sum 0 + q, and a scale by the int 1 is skipped; neither changes a
 coefficient's type. Superspace monomials, enveloping words and shifted
 exponent tuples are all keys here; each algebra keeps its own product,
 because the three multiply keys differently (Koszul-signed sorting,
-concatenation, exponent addition).
+concatenation, exponent addition). The JSON readers of enveloping elements
+and shifted polynomials read each coefficient through `parse_coeff`, so an
+integral value comes back an int; superpolynomials read back as Fractions.
 """
 
 from __future__ import annotations
@@ -25,6 +27,13 @@ def exact(x):
     if isinstance(x, float):
         raise TypeError(f"float {x!r}: coefficients and values must be exact rationals")
     return Fraction(x)
+
+
+def parse_coeff(text):
+    """A coefficient as the JSON writers store it (its `str`, such as '3' or
+    '-1/3'): an int when it is integral, a Fraction otherwise."""
+    q = Fraction(text)
+    return q.numerator if q.denominator == 1 else q
 
 
 def add_term(x: dict, key, coeff) -> None:

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .combinatorics import Partition, check_partition, conjugate, enumerate_rssyt
 from .enveloping import check_letters
-from .lincomb import add_into, add_term, exact, format_terms, prefix_product
+from .lincomb import add_into, add_term, exact, format_terms, parse_coeff, prefix_product
 
 
 @dataclass
@@ -291,5 +291,5 @@ def shifted_from_json(text: str) -> ShiftedPolynomial:
     data = json.loads(text)
     terms = {}
     for item in data["terms"]:
-        add_term(terms, tuple(int(e) for e in item["exponents"]), Fraction(item["coeff"]))
+        add_term(terms, tuple(int(e) for e in item["exponents"]), parse_coeff(item["coeff"]))
     return ShiftedPolynomial(int(data["n"]), terms)

@@ -4,6 +4,7 @@ from itertools import combinations, combinations_with_replacement, permutations,
 
 import pytest
 
+from glcenter import central
 from glcenter.central import (
     CentralElement,
     _left_block,
@@ -605,3 +606,44 @@ def test_provenance_records_maps():
     projected = olshanski_project(duality_W(capelli_H(2, 3)))
     assert projected.provenance == "project(W(H:2@n=3))"
     assert projected.body == nazarov_umeda_I(2, 2).body
+
+
+def _all_int(body):
+    return all(type(c) is int for c in body.values())
+
+
+def test_constructors_keep_int_coefficients():
+    # every (lam, n) of `verify --max-n 4 --max-size 4`, and H_k(n), I_k(n)
+    # for n <= 5, k <= 6: the definition divides each piece exactly
+    for n in range(1, 5):
+        for lam in partitions_upto(4, include_empty=False):
+            if len(lam) <= n:
+                assert _all_int(schur_element(lam, n).body), (lam, n)
+    for n in range(1, 6):
+        for k in range(1, 7):
+            if k <= n:
+                assert _all_int(capelli_H(k, n).body), (k, n)
+            assert _all_int(nazarov_umeda_I(k, n).body), (k, n)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: schur_element((2, 1), 3), lambda: capelli_H(2, 2), lambda: nazarov_umeda_I(2, 2)],
+    ids=["S:2,1@n=3", "H:2@n=2", "I:2@n=2"],
+)
+def test_inexact_piece_division_raises(monkeypatch, build):
+    # one positive coefficient of the first devirtualized combination off by
+    # one leaves a piece that its normalizing integer (3 or 2) does not divide
+    real = central.devirtualize
+    calls = []
+
+    def off_by_one(words):
+        out = real(words)
+        if not calls:
+            out[next(w for w, c in out.items() if c > 0)] += 1
+        calls.append(words)
+        return out
+
+    monkeypatch.setattr(central, "devirtualize", off_by_one)
+    with pytest.raises(ValueError, match="not divisible"):
+        build()

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import resource
@@ -170,6 +171,62 @@ def test_help_still_prints_usage(capsys):
     rc, out, err = run(capsys, "element", "--help")
     assert (rc, err) == (0, "")
     assert out.startswith("usage: glcenter element")
+
+
+# (option strings, dest, default, type, choices, metavar, help) of every
+# action, in order, as the parser built them before the verbs became a table
+_HELP = (["-h", "--help"], "help", "==SUPPRESS==", None, None, None, "show this help message and exit")
+_ELEMENT_ACTIONS = [
+    (["--spec"], "spec", None, None, None, None, "element spec KIND:payload@n=N"),
+    (["--lambda"], "lam", None, None, None, "PARTITION", "shorthand for --spec S:PARTITION@n=N (needs --n)"),
+    (["--k"], "k", None, int, None, None, "shorthand for --spec H:K@n=N (needs --n)"),
+    (["--n"], "n", None, int, None, None, "proper alphabet size for --lambda/--k"),
+]
+_OUTPUT_ACTIONS = [
+    (["--format"], "format", "text", None, ("text", "json"), None, "output format"),
+    (["--out"], "out", None, None, None, "FILE", "write output to FILE instead of stdout"),
+]
+_MU = (["--mu"], "mu", None, None, None, "PARTITION", "highest weight as a partition")
+_VERIFY_ACTIONS = [
+    (["--suite"], "suite", None, None, ("core", "schur", "duality", "olshanski", "hc"), None,
+     "the one suite to run; default all"),
+    (["--max-size"], "max_size", 3, int, None, None, "partition size cap"),
+    (["--max-n"], "max_n", 2, int, None, None, "alphabet size cap"),
+    (["--seed"], "seed", 0, int, None, None, "seed for randomized checks"),
+]
+_PARSER_VERBS = {
+    "element": ("build an element and print its PBW form", _ELEMENT_ACTIONS + _OUTPUT_ACTIONS),
+    "eigen": (
+        "eigenvalue on the highest weight module of --mu",
+        _ELEMENT_ACTIONS + [_MU] + _OUTPUT_ACTIONS,
+    ),
+    "hc": ("Harish-Chandra image as a shifted symmetric polynomial", _ELEMENT_ACTIONS + _OUTPUT_ACTIONS),
+    "dual": ("apply the duality involution", _ELEMENT_ACTIONS + _OUTPUT_ACTIONS),
+    "project": ("project one alphabet letter away", _ELEMENT_ACTIONS + _OUTPUT_ACTIONS),
+    "verify": ("run verification suites", _VERIFY_ACTIONS + _OUTPUT_ACTIONS),
+}
+
+
+def _actions(parser):
+    return [
+        (a.option_strings, a.dest, a.default, a.type, a.choices, a.metavar, a.help)
+        for a in parser._actions
+        if not isinstance(a, argparse._SubParsersAction)
+    ]
+
+
+def test_parser_is_pinned():
+    parser = cli._build_parser()
+    assert parser.prog == "glcenter"
+    assert _actions(parser) == [_HELP]
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert (sub.dest, sub.required) == ("verb", True)
+    assert list(sub.choices) == list(_PARSER_VERBS)
+    assert [(a.dest, a.help) for a in sub._choices_actions] == [
+        (verb, help_line) for verb, (help_line, _) in _PARSER_VERBS.items()
+    ]
+    for verb, (_, actions) in _PARSER_VERBS.items():
+        assert _actions(sub.choices[verb]) == [_HELP] + actions, verb
 
 
 def test_eigen_checks_mu_before_building(capsys, monkeypatch):

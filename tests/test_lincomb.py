@@ -2,7 +2,10 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from glcenter.lincomb import add, add_into, add_term, scale, sub
+from glcenter.central import capelli_H
+from glcenter.enveloping import element_from_json_obj, element_to_json_obj
+from glcenter.lincomb import add, add_into, add_term, parse_coeff, scale, sub
+from glcenter.shifted import s_star, shifted_from_json, shifted_to_json
 
 coeffs = st.one_of(
     st.integers(-3, 3),
@@ -71,3 +74,23 @@ def test_cancelling_sums_remove_the_key():
     y = {0: 1}
     add_term(y, 1, Fraction(1, 3))
     assert _types(y) == {0: int, 1: Fraction}
+
+
+def test_json_coefficients_read_back_as_int_when_integral():
+    read = [parse_coeff(text) for text in ("3", "-4", "6/2", "-2/6")]
+    assert read == [3, -4, 3, Fraction(-1, 3)]
+    assert [type(q) for q in read] == [int, int, int, Fraction]
+
+
+def test_json_round_trips_keep_int():
+    # the JSON readers of shifted polynomials and enveloping elements, each
+    # written from an all-int combination
+    p = s_star((2, 1), 3)
+    body = capelli_H(2, 3).body
+    read = [
+        (p.terms, shifted_from_json(shifted_to_json(p)).terms),
+        (body, element_from_json_obj(element_to_json_obj(body))),
+    ]
+    for before, after in read:
+        assert after == before
+        assert set(_types(before).values()) == set(_types(after).values()) == {int}
