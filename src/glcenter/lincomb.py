@@ -8,9 +8,9 @@ sum 0 + q, and a scale by the int 1 is skipped; neither changes a
 coefficient's type. Superspace monomials, enveloping words and shifted
 exponent tuples are all keys here; each algebra keeps its own product,
 because the three multiply keys differently (Koszul-signed sorting,
-concatenation, exponent addition). The JSON readers of enveloping elements
-and shifted polynomials read each coefficient through `parse_coeff`, so an
-integral value comes back an int; superpolynomials read back as Fractions.
+concatenation, exponent addition). The JSON readers of enveloping elements,
+shifted polynomials and superpolynomials read each coefficient through
+`parse_coeff`, so an integral value comes back an int.
 """
 
 from __future__ import annotations

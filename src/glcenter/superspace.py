@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from .combinatorics import deruyts, enumerate_standard_proper, permutation_sign
-from .lincomb import add_into, add_term
+from .lincomb import add_into, add_term, parse_coeff
 
 Sym = Union[int, tuple]
 Var = tuple  # (symbol, place)
@@ -319,5 +319,5 @@ def poly_from_json(text: str) -> SuperPolynomial:
             [(_sym_from_json(v[:2]), int(v[2])) for v in item["monomial"]]
         )
         if mono is not None:
-            add_term(out, mono, sign * Fraction(item["coeff"]))
+            add_term(out, mono, sign * parse_coeff(item["coeff"]))
     return out

@@ -420,6 +420,10 @@ def test_constructor_argument_errors():
         capelli_H(3, 2)
     with pytest.raises(ValueError):
         nazarov_umeda_I(0, 2)
+    with pytest.raises(ValueError, match="H_k needs 1 <= k <= n"):
+        capelli_H_cdet(0, 2)
+    with pytest.raises(ValueError, match="I_k needs k >= 1"):
+        nazarov_umeda_I_cper(0, 2)
     with pytest.raises(ValueError):
         capelli_immanant((2,), (1,), (1, 2))
     with pytest.raises(ValueError):
@@ -485,6 +489,8 @@ def test_olshanski_projection():
     for body in [{((3, 1),): 1}, {((1, 2),): 1}, {((1, 1),): 1, ((1, 3), (2, 2)): 2}]:
         with pytest.raises(ValueError, match="nonzero weight"):
             olshanski_project(CentralElement(body, 3, "user"))
+    with pytest.raises(ValueError, match="^nothing to project$"):
+        olshanski_project(CentralElement({}, 0, "user"))
 
 
 def test_center_maps_reject_letters_outside_n():

@@ -37,6 +37,12 @@ def test_eigen_example(capsys):
     assert out == "3\n"
 
 
+def test_eigen_json(capsys):
+    rc, out, err = run(capsys, "eigen", "--spec", "S:2,1@n=2", "--mu", "2,1", "--format", "json")
+    assert (rc, err) == (0, "")
+    assert out == '{"kind": "eigenvalue", "mu": [2, 1], "spec": "S:2,1@n=2", "value": "3"}\n'
+
+
 def test_eigen_flag_spelling(capsys):
     rc, out, _ = run(capsys, "eigen", "--lambda", "2,1", "--n", "2", "--mu", "2,1")
     assert rc == 0
@@ -143,6 +149,10 @@ def test_usage_errors(capsys):
         (("element", "--spec", "S:1,1,1@n=2"), "error: schur element needs at most n rows in lambda, got 3 > 2\n"),
         (("element", "--spec", "CB:a|1@n=2"), "error: non-integer letter in tableau 'a'\n"),
         (("element", "--spec", "CIMM:1|a|1@n=2"), "error: bad letter in element spec: 'a'\n"),
+        (("element", "--lambda", "2,1"), "error: --lambda needs --n\n"),
+        (("element", "--k", "2"), "error: --k needs --n\n"),
+        (("verify", "--max-size", "0"), "error: --max-size and --max-n must be at least 1\n"),
+        (("verify", "--max-n", "0"), "error: --max-size and --max-n must be at least 1\n"),
     ],
     ids=[
         "spec-without-value",
@@ -159,6 +169,10 @@ def test_usage_errors(capsys):
         "too-many-rows",
         "bad-tableau-letter",
         "bad-CIMM-letter",
+        "lambda-without-n",
+        "k-without-n",
+        "zero-max-size",
+        "zero-max-n",
     ],
 )
 def test_argparse_errors_are_one_line(capsys, argv, message):
@@ -386,6 +400,37 @@ def test_verify_all_suites_small(capsys):
         "hc",
     ]
     assert "FAIL" not in out
+
+
+def test_verify_check_that_raises_fails(capsys, monkeypatch):
+    # an exception inside one check is that check's FAIL, and the run goes on
+    def boom(k, n):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(central, "capelli_H_cdet", boom)
+    argv = ("verify", "--suite", "core", "--max-n", "1", "--max-size", "1")
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 1
+    assert out.startswith("FAIL H-routes k=1 n=1 (error: boom)\nPASS I-routes k=1 n=1\n")
+    assert out.count("FAIL") == 1
+    rc, out, _ = run(capsys, *argv, "--format", "json")
+    assert rc == 1
+    summary = json.loads(out.splitlines()[-1])
+    assert summary["checks"][0]["name"] == "H-routes k=1 n=1"
+    assert [c["status"] for c in summary["checks"]].count("fail") == 1
+    assert summary["checks"][0]["status"] == "fail"
+    assert summary["passed"] == summary["total"] - 1
+
+
+def test_verify_check_out_of_memory_is_one_line_and_exit_2(capsys, monkeypatch):
+    # running out of memory is not a failed check: the run stops at once
+    def exhausted(k, n):
+        raise MemoryError
+
+    monkeypatch.setattr(central, "capelli_H_cdet", exhausted)
+    rc, out, err = run(capsys, "verify", "--suite", "core", "--max-n", "1", "--max-size", "1")
+    assert (rc, out) == (2, "")
+    assert err == "error: out of memory; the request is too large\n"
 
 
 def test_verify_json_summary(capsys):

@@ -295,6 +295,7 @@ def test_format_element():
     assert format_element(elem_scale(e(1, 1), Fraction(1, 2))) == "1/2*e[1,1]"
     assert format_element({((1, 2),): -1, ((2, 1),): 2}) == "-e[1,2] + 2*e[2,1]"
     assert format_element({(): -3, ((1, 1),): 1}) == "-3 + e[1,1]"
+    assert format_element({((alpha(1), 2), (1, beta(2))): 3}) == "3*e[a1,2]*e[1,b2]"
 
 
 def test_element_json_round_trip():

@@ -80,6 +80,11 @@ def test_generator_argument_errors():
         e_star(3, 2)
     with pytest.raises(ValueError):
         h_star(-1, 2)
+    for build in (s_star, s_star_determinant):
+        with pytest.raises(ValueError, match="^shape needs at most n rows$"):
+            build((1, 1, 1), 2)
+    with pytest.raises(ValueError, match="^value count must match variable count$"):
+        sp_eval(e_star(1, 2), [1])
 
 
 def test_is_shifted_symmetric():

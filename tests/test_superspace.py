@@ -203,6 +203,7 @@ def test_standard_bitableaux_are_a_basis():
     basis = [bitableau(S, dp) for S in standard]
     assert len(standard) == 8
     assert span_dimension(basis) == len(basis)
+    assert span_dimension([]) == 0
     assert schur_module_dimension(lam, n) == len(basis)
     assert schur_module_dimension((1, 1), 2) == 3
 
@@ -236,6 +237,17 @@ def test_poly_json_round_trip():
     assert poly_from_json(poly_to_json(q)) == q
 
 
+def test_poly_json_keeps_int_coefficients():
+    p = bitableau(((1, 2),), ((1, 2),))
+    back = poly_from_json(poly_to_json(p))
+    assert back == p and back
+    assert all(type(c) is int for c in back.values())
+    q = poly_scale(p, Fraction(1, 3))
+    back = poly_from_json(poly_to_json(q))
+    assert back == q
+    assert all(type(c) is Fraction for c in back.values())
+
+
 def test_poly_from_json_canonicalizes_monomials():
     def text(places, coeff):
         return json.dumps([{"monomial": [["alpha", 1, j] for j in places], "coeff": coeff}])
@@ -244,7 +256,7 @@ def test_poly_from_json_canonicalizes_monomials():
     swapped = poly_from_json(text((2, 1), "1"))
     assert swapped == poly_from_json(text((1, 2), "-1"))
     assert swapped == {((alpha(1), 1), (alpha(1), 2)): Fraction(-1)}
-    assert all(type(c) is Fraction for c in swapped.values())
+    assert all(type(c) is int for c in swapped.values())
     # (a1|1)^2 is the square of an odd variable
     assert poly_from_json(text((1, 1), "1")) == {}
     p = biproduct((alpha(1), 2, 3), (1, 2, 3))
