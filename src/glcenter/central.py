@@ -35,10 +35,10 @@ of s*_lam, the route the CLI takes.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import factorial, prod
+from typing import NamedTuple
 
 from .combinatorics import (
     Partition,
@@ -69,8 +69,7 @@ from .shifted import _harish_chandra_peeled, express_in_estar_basis, s_star
 from .superspace import alpha, beta, highest_weight_vector, is_proper
 
 
-@dataclass
-class CentralElement:
+class CentralElement(NamedTuple):
     """A PBW body at alphabet size n; provenance names the element it was
     built as, wrapped in each map applied to it, e.g. "W(S:2,2@n=4)"."""
 

@@ -16,6 +16,10 @@ rest goes to the Fraction Gauss-Jordan `_rref`, the only exact fallback.
   right-hand side is solved mod P, lifted to Q by rational reconstruction
   and kept only if A x = b holds exactly over the integers; any other goes,
   with the other failures, through one exact `_rref`.
+- The elimination mod P updates each row only at the columns where the
+  scaled pivot row is nonzero, since a zero there leaves the entry as it
+  is; its cost follows the nonzeros of the pivot rows, not the width. A
+  zero residue of a solution lifts to 0 without rational reconstruction.
 
 The method is that of Dixon (1982, p-adic solving) with one prime and an
 exact check in place of lifting.
@@ -31,6 +35,8 @@ from .lincomb import exact
 P = (1 << 61) - 1
 # Rational reconstruction bound: x = r/s with |r|, s <= _BOUND is unique mod P.
 _BOUND = isqrt(P // 2)
+# The lift of a zero residue; shared, since a Fraction is immutable.
+_ZERO = Fraction(0)
 
 
 def _rref(rows, ncols):
@@ -95,10 +101,12 @@ def _eliminate_mod(rows, ncols):
         # columns left of c are zero in the pivot row, so only its tail works
         tail = [x * inv % P for x in rows[r][c:]]
         rows[r][c:] = tail
+        support = [(j, y) for j, y in enumerate(tail, c) if y]
         for i, row in enumerate(rows):
             f = row[c]
             if f and i != r:
-                row[c:] = [(x - f * y) % P for x, y in zip(row[c:], tail)]
+                for j, y in support:
+                    row[j] = (row[j] - f * y) % P
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -126,19 +134,19 @@ def _checked_solution(reduced, ints, columns, col):
     n = len(columns)
     if any(row[col] for row in reduced[n:]):
         return None
-    x = []
-    for row in reduced[:n]:
-        v = _reconstruct(row[col])
-        if v is None:
-            return None
-        x.append(v)
-    d = lcm(*(v.denominator for v in x))
+    x, support = [_ZERO] * n, []
+    for j, row in enumerate(reduced[:n]):
+        if row[col]:
+            x[j] = _reconstruct(row[col])
+            if x[j] is None:
+                return None
+            support.append(j)
+    d = lcm(*(x[j].denominator for j in support))
     image = [0] * len(ints)
-    for j, v in enumerate(x):
-        if v:
-            scaled = v.numerator * (d // v.denominator)
-            for i, entry in columns[j]:
-                image[i] += entry * scaled
+    for j in support:
+        scaled = x[j].numerator * (d // x[j].denominator)
+        for i, entry in columns[j]:
+            image[i] += entry * scaled
     if any(image[i] != d * row[col] for i, row in enumerate(ints)):
         return None
     return x

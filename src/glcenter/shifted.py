@@ -14,16 +14,15 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .combinatorics import Partition, check_partition, conjugate, enumerate_rssyt
 from .enveloping import check_letters
 from .lincomb import add_into, add_term, exact, format_terms, parse_coeff, prefix_product
 
 
-@dataclass
-class ShiftedPolynomial:
+class ShiftedPolynomial(NamedTuple):
     n: int
     terms: dict
 

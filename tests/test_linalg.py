@@ -16,6 +16,30 @@ def exact_rank(a):
     return len(linalg._rref([[Fraction(x) for x in row] for row in a], n))
 
 
+def _dense_eliminate_mod(rows, ncols):
+    """Gauss-Jordan mod P that updates every tail entry of a row: the
+    reference for the support-only update of `linalg._eliminate_mod`."""
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = pow(rows[r][c], -1, P)
+        tail = [x * inv % P for x in rows[r][c:]]
+        rows[r][c:] = tail
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                row[c:] = [(x - f * y) % P for x, y in zip(row[c:], tail)]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return pivots
+
+
 def exact_solve_many(a, bs):
     """The exact route alone: one Fraction RREF of [A | b...]."""
     n = len(a[0]) if a else 0
@@ -75,6 +99,41 @@ def test_matches_exact_route(system):
     assert [[type(v) for v in row] for row in a] == [[type(v) for v in row] for row in a_before]
 
 
+residues = st.one_of(st.integers(1, 5), st.integers(P - 5, P - 1), st.integers(1, P - 1))
+
+
+@st.composite
+def matrices_mod_p(draw):
+    """Rows of residues mod P, up to 12x16, at a drawn density, with some
+    rows and columns set to zero and some rows repeated as multiples of an
+    earlier row; and a column count to eliminate over."""
+    m, width = draw(st.integers(0, 12)), draw(st.integers(0, 16))
+    percent = draw(st.sampled_from((0, 5, 30, 100)))
+    rows = [
+        [draw(residues) if draw(st.integers(0, 99)) < percent else 0 for _ in range(width)]
+        for _ in range(m)
+    ]
+    for j in draw(st.sets(st.integers(0, width - 1), max_size=3)) if width else ():
+        for row in rows:
+            row[j] = 0
+    for i in draw(st.sets(st.integers(0, m - 1), max_size=3)) if m else ():
+        rows[i] = [0] * width
+    for i in range(1, m):
+        if draw(st.integers(0, 3)) == 0:
+            f = draw(residues)
+            rows[i] = [x * f % P for x in rows[draw(st.integers(0, i - 1))]]
+    return rows, draw(st.integers(0, width))
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices_mod_p())
+def test_sparse_elimination_matches_dense(system):
+    rows, ncols = system
+    dense, sparse = copy.deepcopy(rows), copy.deepcopy(rows)
+    assert linalg._eliminate_mod(sparse, ncols) == _dense_eliminate_mod(dense, ncols)
+    assert sparse == dense
+
+
 @pytest.fixture
 def rref_calls(monkeypatch):
     calls = []
@@ -95,6 +154,28 @@ def test_full_rank_is_certified_without_fallback(rref_calls):
     assert rank(a) == 3
     assert solve_many(a, [b, b]) == [x, x]
     assert rref_calls == []
+
+
+def test_sparse_full_rank_solutions_are_fractions(rref_calls):
+    # a permuted identity with a few off-diagonal entries; most unknowns are 0
+    n = 40
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        a[i][(7 * i) % n] = i % 3 + 1
+    a[5][0], a[17][33], a[30][2] = 4, Fraction(-1, 2), 9
+    x = [Fraction(0)] * n
+    x[3], x[33] = Fraction(2, 3), Fraction(-5)
+    b = [sum(r * v for r, v in zip(row, x)) for row in a]
+    want = [x, [Fraction(0)] * n]
+    got = solve_many(a, [b, [0] * n])
+    assert got == want
+    assert all_fractions(got)
+    assert rref_calls == []
+    got[1][0] = Fraction(7)
+    got[0][4] = Fraction(7)
+    again = solve_many(a, [b, [0] * n])
+    assert again == want
+    assert all_fractions(again)
 
 
 def test_rank_zero_mod_p_is_one_over_q(rref_calls):

@@ -263,6 +263,50 @@ def test_poly_from_json_canonicalizes_monomials():
     assert poly_to_json(poly_from_json(poly_to_json(p))) == poly_to_json(p)
 
 
+json_coeffs = st.one_of(
+    st.integers(-5, 5).filter(bool),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(lambda q: q.denominator > 1),
+)
+json_variables = st.tuples(st.sampled_from(letter_pool), st.integers(1, 3))
+
+
+@st.composite
+def json_polys(draw):
+    """A polynomial whose monomials are products of drawn variables, with int
+    coefficients and Fractions that are not integers, as the algebra keeps them."""
+    p = {}
+    for vars_ in draw(st.lists(st.lists(json_variables, max_size=5), max_size=6)):
+        for mono in product(*vars_):
+            p[mono] = draw(json_coeffs)
+    return p
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_polys(), st.randoms(use_true_random=False), st.lists(json_variables, max_size=3))
+def test_poly_json_round_trip_any_order(p, rng, extra):
+    """Each monomial written with its variables in any order, and its
+    coefficient times the sign of that order, reads back as p; a monomial
+    that repeats an odd variable reads back as zero."""
+    items = []
+    for mono, c in p.items():
+        (item,) = json.loads(poly_to_json({mono: c}))
+        order = rng.sample(range(len(mono)), len(mono))
+        odd = [k for k in order if var_is_odd(mono[k])]
+        inversions = sum(s > t for i, s in enumerate(odd) for t in odd[i + 1 :])
+        item["monomial"] = [item["monomial"][k] for k in order]
+        item["coeff"] = str((-1) ** inversions * c)
+        items.append(item)
+    odd_var = (alpha(rng.randint(1, 2)), rng.randint(1, 3))
+    (square,) = json.loads(poly_to_json({tuple(extra) + (odd_var,): 1}))
+    square["monomial"].insert(rng.randint(0, len(extra)), square["monomial"][-1])
+    items.append(square)
+    rng.shuffle(items)
+    back = poly_from_json(json.dumps(items))
+    assert back == p
+    assert {m: type(c) for m, c in back.items()} == {m: type(c) for m, c in p.items()}
+    assert poly_from_json(json.dumps([square])) == {}
+
+
 def resort_superpolarize(a, b, p):
     """D_{a,b} by its definition: replace (b|j) by (a|j) and re-sort the
     whole product with normalize_vars."""
