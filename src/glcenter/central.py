@@ -24,7 +24,8 @@ virtual symbol. `schur_element` sums the definition by letter set: an
 order-preserving relabeling of the proper letters commutes with
 devirtualization and the PBW sort, so the S whose letters are exactly
 {1..m} give one piece B_m(lam), independent of n, and every m-subset of
-{1..n} is a relabeled copy of it. `verify` shares the pieces across n.
+{1..n} is a relabeled copy of it. A piece takes one S per orbit of swaps
+of equal-length rows, times the orbit size. `verify` shares the pieces.
 H_k(n) and I_k(n) are summed by letter set too, over their index tuples,
 and `_relabeled_sum` is the one relabeling route of all three. All three
 stay in int: each piece is divided exactly by H(lam~), or by k!.
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, permutations, product
+from itertools import combinations, combinations_with_replacement, groupby, permutations, product
 from math import factorial, prod
 from typing import NamedTuple
 
@@ -230,14 +231,31 @@ def _relabeled_sum(pieces: list, n: int) -> EnvelopingElement:
 
 def _schur_piece(lam_t: Partition, m: int) -> EnvelopingElement:
     """B_m / H(lam~), where B_m is the sum of the images of [box S|S] over
-    the row-increasing S of shape lam~ whose letter set is exactly {1..m}.
-    H(lam~) divides B_m exactly, so S_lam(n) stays in int."""
+    the row-increasing S of shape lam~ whose letter set is exactly {1..m},
+    summed over `_row_orbits` in one devirtualization. H(lam~) divides B_m
+    exactly, so S_lam(n) stays in int. Swapping rows r, r' of S of equal
+    length L, in both blocks, only swaps the names of alpha_r and alpha_r':
+    the two groups of L odd factors trade places with the same sign in the
+    left and the right block, which cancels; the row symmetrizer of lam~
+    is invariant under the swap, as the rows have equal length; and the
+    image does not depend on the virtual symbols chosen. So [box S|S] is
+    constant on an orbit."""
     table = _symmetrizer(lam_t, rows=True)
-    piece: EnvelopingElement = {}
+    words: EnvelopingElement = {}
+    for S, weight in _row_orbits(lam_t, m):
+        add_into(words, _symmetrized_words(table, S, S), weight)
+    return _divide_exact(devirtualize(words), hook_number(lam_t))
+
+
+def _row_orbits(lam_t: Partition, m: int):
+    """(S, orbit size) for the row-increasing S of shape lam~ with letter
+    set exactly {1..m} whose rows are sorted within each block of
+    equal-length rows; the orbit permutes the rows of each block, and
+    its size is the product over blocks of their `_multinomial`."""
     for S in enumerate_row_increasing(lam_t, m):
-        if len({x for row in S for x in row}) == m:
-            add_into(piece, devirtualize(_symmetrized_words(table, S, S)))
-    return _divide_exact(piece, hook_number(lam_t))
+        blocks = [list(b) for _, b in groupby(S, len)]
+        if len({x for row in S for x in row}) == m and all(b == sorted(b) for b in blocks):
+            yield S, prod(map(_multinomial, blocks))
 
 
 def _divide_exact(piece: EnvelopingElement, d: int) -> EnvelopingElement:

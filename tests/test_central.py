@@ -10,6 +10,8 @@ from glcenter.central import (
     _left_block,
     _multiplicity_weight,
     _right_block,
+    _row_orbits,
+    _schur_piece,
     _sorted_odd,
     _symmetrized_words,
     _symmetrizer,
@@ -356,6 +358,61 @@ def test_schur_pieces_match_direct_sum():
     cases = [(lam, n) for n in range(1, 5) for lam in partitions_upto(4) if len(lam) <= n]
     for lam, n in cases + [((), 0), ((3, 2), 5), ((2, 2, 1), 5)]:
         assert schur_element(lam, n).body == _schur_direct(lam, n), (lam, n)
+
+
+# One piece summed over every row-increasing S with letter set {1..m},
+# one devirtualization per S, with no grouping into row orbits: the
+# reference for _schur_piece.
+def _schur_piece_direct(lam_t, m):
+    table = _symmetrizer(lam_t, rows=True)
+    piece = {}
+    for S in enumerate_row_increasing(lam_t, m):
+        if len({x for row in S for x in row}) == m:
+            add_into(piece, devirtualize(_symmetrized_words(table, S, S)))
+    return elem_scale(piece, Fraction(1, hook_number(lam_t)))
+
+
+def test_schur_piece_orbit_sum_matches_every_tableau():
+    # all 45 (lam, m) with |lam| <= 5 and l(lam) <= m <= |lam|
+    shapes = partitions_upto(5, include_empty=False)
+    cases = [(lam, m) for lam in shapes for m in range(len(lam), size(lam) + 1)]
+    assert len(cases) == 45
+    for lam, m in cases:
+        lam_t = conjugate(lam)
+        assert _schur_piece(lam_t, m) == _schur_piece_direct(lam_t, m), (lam, m)
+
+
+def _surjective_row_increasing(lam_t, m):
+    return [S for S in enumerate_row_increasing(lam_t, m) if len({x for row in S for x in row}) == m]
+
+
+def test_row_orbit_weights_count_every_tableau():
+    for lam in partitions_upto(6, include_empty=False):
+        lam_t = conjugate(lam)
+        for m in range(1, size(lam) + 1):
+            orbits = list(_row_orbits(lam_t, m))
+            assert sum(w for _, w in orbits) == len(_surjective_row_increasing(lam_t, m)), (lam, m)
+            for S, _ in orbits:
+                blocks = {}
+                for row in S:
+                    blocks.setdefault(len(row), []).append(row)
+                assert all(rows == sorted(rows) for rows in blocks.values()), S
+
+
+def test_row_orbit_fixtures():
+    # lam = (5): 240 tableaux of shape (1^5) on {1..4}, 4 orbits of 60
+    assert len(_surjective_row_increasing((1,) * 5, 4)) == 240
+    assert list(_row_orbits((1,) * 5, 4)) == [
+        (((1,), (1,), (2,), (3,), (4,)), 60),
+        (((1,), (2,), (2,), (3,), (4,)), 60),
+        (((1,), (2,), (3,), (3,), (4,)), 60),
+        (((1,), (2,), (3,), (4,), (4,)), 60),
+    ]
+    # two identical rows: the orbit is S alone
+    assert list(_row_orbits((2, 2), 2)) == [(((1, 2), (1, 2)), 1)]
+    # no two rows of equal length: every S is its own orbit
+    for m in range(3, 7):
+        assert list(_row_orbits((3, 2, 1), m)) == [(S, 1) for S in _surjective_row_increasing((3, 2, 1), m)]
 
 
 def test_shared_pieces_match_fresh_builds():
