@@ -28,7 +28,8 @@ devirtualization and the PBW sort, so the S whose letters are exactly
 of equal-length rows, times the orbit size. `verify` shares the pieces.
 H_k(n) and I_k(n) are summed by letter set too, over their index tuples,
 and `_relabeled_sum` is the one relabeling route of all three. All three
-stay in int: each piece is divided exactly by H(lam~), or by k!.
+stay in int: each piece is divided exactly by H(lam~), or by k!; the I_k
+reference `nazarov_umeda_I_cper` weights by `_multinomial` and divides once.
 `schur_element_hc` builds the same element as the Harish-Chandra preimage
 of s*_lam, the route the CLI takes.
 """
@@ -336,11 +337,6 @@ def _matrix_entry(i: int, j: int, shift: int) -> EnvelopingElement:
     return out
 
 
-def _multiplicity_weight(idx: tuple) -> Fraction:
-    """1/(h_1! ... h_n!), where h_j counts the entries of idx equal to j."""
-    return Fraction(_multinomial(idx), factorial(len(idx)))
-
-
 def _multinomial(idx: tuple) -> int:
     """The number of distinct rearrangements of idx, k!/(h_1! ... h_n!)."""
     return factorial(len(idx)) // prod(map(factorial, Counter(idx).values()))
@@ -357,20 +353,22 @@ def nazarov_umeda_I(k: int, n: int) -> CentralElement:
 
 
 def nazarov_umeda_I_cper(k: int, n: int) -> CentralElement:
-    """I_k(n) as the weighted sum of column permanents of the matrices
-    [e_{i_r,i_s} - delta_{i_r,i_s}(k-s)] over weakly increasing k-tuples."""
+    """I_k(n) as the sum of column permanents of the matrices
+    [e_{i_r,i_s} - delta_{i_r,i_s}(k-s)] over weakly increasing k-tuples,
+    each weighted by the int `_multinomial`; the normalized sum is divided
+    by k! once, as in `_one_row`. It never devirtualizes or relabels."""
     if k < 1:
         raise ValueError(f"I_k needs k >= 1, got k={k}")
     body: EnvelopingElement = {}
     for idx in combinations_with_replacement(range(1, n + 1), k):
-        coeff = _multiplicity_weight(idx)
+        coeff = _multinomial(idx)
         _add_column_expansion(
             body,
             idx,
             lambda r, c: -(k - 1 - c) if idx[r] == idx[c] else 0,
             lambda perm: coeff,
         )
-    return CentralElement(pbw_normal_form(body), n, f"I:{k}@n={n}")
+    return CentralElement(_divide_exact(pbw_normal_form(body), factorial(k)), n, f"I:{k}@n={n}")
 
 
 def capelli_immanant(mu: Partition, left, right) -> EnvelopingElement:

@@ -40,7 +40,6 @@ from .superspace import (
     alpha,
     beta,
     format_symbol,
-    is_proper,
     superpolarize,
     symbol_degree,
     symbol_key,
@@ -162,16 +161,21 @@ def pbw_normal_form(x: EnvelopingElement) -> EnvelopingElement:
 def is_irregular(word: Word) -> bool:
     """Some right subword annihilates a virtual symbol more often than it
     was created strictly before."""
-    created: dict = {}
-    annihilated: dict = {}
+    return _open_symbols(word) is None
+
+
+def _open_symbols(word: Word) -> dict | None:
+    """Each virtual symbol's creations less annihilations, read from the
+    right; None as soon as an annihilation has no creation to its right."""
+    balance: dict = {}
     for a, b in reversed(word):
-        if not is_proper(b):
-            annihilated[b] = annihilated.get(b, 0) + 1
-            if annihilated[b] > created.get(b, 0):
-                return True
-        if not is_proper(a):
-            created[a] = created.get(a, 0) + 1
-    return False
+        if type(b) is not int:
+            if not balance.get(b):
+                return None
+            balance[b] -= 1
+        if type(a) is not int:
+            balance[a] = balance.get(a, 0) + 1
+    return balance
 
 
 def random_balanced_word(rng, n: int, max_len: int = 6) -> Word:
@@ -184,16 +188,9 @@ def random_balanced_word(rng, n: int, max_len: int = 6) -> Word:
         length = rng.randint(2, max_len)
         symbols = rng.choices(pool, cum_weights=cum_weights, k=2 * length)
         word = tuple(zip(symbols[::2], symbols[1::2]))
-        created: dict = {}
-        annihilated: dict = {}
-        for a, b in word:
-            if type(a) is not int:
-                created[a] = created.get(a, 0) + 1
-            if type(b) is not int:
-                annihilated[b] = annihilated.get(b, 0) + 1
-        if not created or created != annihilated or is_irregular(word):
-            continue
-        return word
+        balance = _open_symbols(word)
+        if balance and not any(balance.values()):
+            return word
 
 
 _devirt_cache: dict = {}

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
+from math import factorial
 
 import pytest
 
@@ -8,7 +9,7 @@ from glcenter import central
 from glcenter.central import (
     CentralElement,
     _left_block,
-    _multiplicity_weight,
+    _multinomial,
     _right_block,
     _row_orbits,
     _schur_piece,
@@ -301,8 +302,22 @@ def test_capelli_H_routes_agree():
 
 
 def test_nazarov_umeda_routes_agree():
-    for n, k in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]:
+    for n, k in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 4), (2, 5)]:
         assert nazarov_umeda_I(k, n).body == nazarov_umeda_I_cper(k, n).body
+
+
+def test_nazarov_umeda_cper_is_independent_of_one_row(monkeypatch):
+    # the reference never devirtualizes or relabels, so it checks `_one_row`
+    # without sharing either step with it
+    expected = {(k, n): nazarov_umeda_I(k, n).body for k, n in [(1, 2), (3, 2), (2, 3), (4, 3)]}
+
+    def forbidden(*args):
+        raise AssertionError("the column-permanent reference left its own route")
+
+    monkeypatch.setattr(central, "devirtualize", forbidden)
+    monkeypatch.setattr(central, "_relabeled_sum", forbidden)
+    for (k, n), body in expected.items():
+        assert nazarov_umeda_I_cper(k, n).body == body, (k, n)
 
 
 def test_schur_element_specializations():
@@ -455,7 +470,11 @@ def test_one_row_pieces_match_direct_sum():
             assert capelli_H(k, n).body == direct, (k, n)
     for n in range(1, 6):
         for k in range(1, 7):
-            direct = _one_row_direct(combinations_with_replacement(range(1, n + 1), k), beta, _multiplicity_weight)
+            direct = _one_row_direct(
+                combinations_with_replacement(range(1, n + 1), k),
+                beta,
+                lambda idx: Fraction(_multinomial(idx), factorial(len(idx))),
+            )
             assert nazarov_umeda_I(k, n).body == direct, (k, n)
 
 
@@ -677,7 +696,8 @@ def _all_int(body):
 
 def test_constructors_keep_int_coefficients():
     # every (lam, n) of `verify --max-n 4 --max-size 4`, and H_k(n), I_k(n)
-    # for n <= 5, k <= 6: the definition divides each piece exactly
+    # for n <= 5, k <= 6: the definition divides each piece exactly; the
+    # column-permanent I_k(n) for k <= 5 divides its normalized sum exactly
     for n in range(1, 5):
         for lam in partitions_upto(4, include_empty=False):
             if len(lam) <= n:
@@ -687,6 +707,8 @@ def test_constructors_keep_int_coefficients():
             if k <= n:
                 assert _all_int(capelli_H(k, n).body), (k, n)
             assert _all_int(nazarov_umeda_I(k, n).body), (k, n)
+            if k <= 5:
+                assert _all_int(nazarov_umeda_I_cper(k, n).body), (k, n)
 
 
 @pytest.mark.parametrize(

@@ -196,6 +196,8 @@ def test_is_irregular():
     assert not is_irregular(((1, 2), (2, 1)))
     # annihilation in the same factor as a later creation still counts
     assert is_irregular(((1, a1),))
+    # read from the right: created, annihilated, then annihilated again
+    assert is_irregular(((1, a1), (2, a1), (a1, 3)))
 
 
 def test_devirtualize_fixtures():
