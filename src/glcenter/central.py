@@ -25,9 +25,10 @@ order-preserving relabeling of the proper letters commutes with
 devirtualization and the PBW sort, so the S whose letters are exactly
 {1..m} give one piece B_m(lam), independent of n, and every m-subset of
 {1..n} is a relabeled copy of it. A piece takes one S per orbit of swaps
-of equal-length rows, times the orbit size. `verify` shares the pieces.
-H_k(n) and I_k(n) are summed by letter set too, over their index tuples,
-and `_relabeled_sum` is the one relabeling route of all three. All three
+of equal-length rows, times the orbit size. H_k(n) and I_k(n) are summed
+by letter set too, over their index tuples, and `_relabeled_sum` is the one
+relabeling route of all three; one bounded per-process memo holds the
+n-free pieces of S, H and I, and nothing else holds or gets one. All three
 stay in int: each piece is divided exactly by H(lam~), or by k!; the I_k
 reference `nazarov_umeda_I_cper` weights by `_multinomial` and divides once.
 `schur_element_hc` builds the same element as the Harish-Chandra preimage
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, groupby, permutations, product
 from math import factorial, prod
 from typing import NamedTuple
@@ -189,7 +191,7 @@ def _schur_shape(lam: Partition, n: int) -> tuple:
     return lam, conjugate(lam)
 
 
-def schur_element(lam: Partition, n: int, pieces: dict | None = None) -> CentralElement:
+def schur_element(lam: Partition, n: int) -> CentralElement:
     """S_lam(n) = (1/H(lam~)) sum of [box S|S] over row-increasing tableaux S
     of shape lam~ with entries in 1..n. This is the definition, which
     `verify` and the tests build S by, summed by letter set:
@@ -204,17 +206,11 @@ def schur_element(lam: Partition, n: int, pieces: dict | None = None) -> Central
     them, and the signs depend on symbol classes and sort parities alone.
     So f_A of a PBW-normal word is PBW-normal, and relabeling needs no
     normalization. B_m does not depend on n, and it is zero unless
-    l(lam) <= m <= |lam|. A caller that builds S at several n passes one
-    dict as pieces, keyed by (lam, m); it is read and filled, and no piece
-    is handed out."""
+    l(lam) <= m <= |lam|; the per-process memo of `_schur_piece` keeps it
+    for every n, and the body returned is a new dict."""
     lam, lam_t = _schur_shape(lam, n)
-    if pieces is None:
-        pieces = {}
     ms = range(len(lam), min(size(lam), n) + 1)
-    for m in ms:
-        if (lam, m) not in pieces:
-            pieces[lam, m] = _schur_piece(lam_t, m)
-    body = _relabeled_sum([(m, pieces[lam, m]) for m in ms], n)
+    body = _relabeled_sum([(m, _schur_piece(lam_t, m)) for m in ms], n)
     return CentralElement(body, n, f"S:{format_partition(lam)}@n={n}")
 
 
@@ -230,6 +226,10 @@ def _relabeled_sum(pieces: list, n: int) -> EnvelopingElement:
     return body
 
 
+_PIECES = 128  # the memo bound: all 87 (lam, m) with |lam| <= 6 fit, so a size-6 `verify` evicts none
+
+
+@lru_cache(maxsize=_PIECES)
 def _schur_piece(lam_t: Partition, m: int) -> EnvelopingElement:
     """B_m / H(lam~), where B_m is the sum of the images of [box S|S] over
     the row-increasing S of shape lam~ whose letter set is exactly {1..m},
@@ -279,22 +279,23 @@ def schur_element_hc(lam: Partition, n: int) -> CentralElement:
 def _one_row(tuples, k: int, n: int, virtual) -> EnvelopingElement:
     """Image of the sum of [idx reversed|idx] / (h_1! ... h_n!) over idx in
     tuples(range(1, n + 1), k), h_j the number of entries equal to j, one
-    row on the single virtual symbol virtual(1), summed by letter set as in
-    `schur_element`: the idx whose letter set is exactly {1..m} give one
-    piece, relabeled onto every m-subset of {1..n}. A piece weights each
-    word by the int `_multinomial` k!/(h_1! ... h_n!), which relabeling
-    keeps, and is divided by k! exactly once devirtualized, so the result
-    stays in int."""
-    pieces = []
-    for m in range(1, min(k, n) + 1):
-        words = {
-            _left_block((i[::-1],), virtual) + _right_block((i,), virtual): _multinomial(i)
-            for i in tuples(range(1, m + 1), k)
-            if len(set(i)) == m
-        }
-        if words:
-            pieces.append((m, _divide_exact(devirtualize(words), factorial(k))))
-    return _relabeled_sum(pieces, n)
+    row on the single virtual symbol virtual(1), summed by letter set: the
+    `_row_piece` of each m <= min(k, n), relabeled onto every m-subset."""
+    return _relabeled_sum([(m, _row_piece(tuples, k, m, virtual)) for m in range(1, min(k, n) + 1)], n)
+
+
+@lru_cache(maxsize=_PIECES)
+def _row_piece(tuples, k: int, m: int, virtual) -> EnvelopingElement:
+    """The idx with letter set exactly {1..m}, each word weighted by the int
+    `_multinomial` k!/(h_1! ... h_n!), which relabeling keeps, and divided by
+    k! exactly once devirtualized, so the piece stays in int; it is empty
+    when no idx has that letter set, as for H_k at m < k."""
+    words = {
+        _left_block((i[::-1],), virtual) + _right_block((i,), virtual): _multinomial(i)
+        for i in tuples(range(1, m + 1), k)
+        if len(set(i)) == m
+    }
+    return _divide_exact(devirtualize(words), factorial(k)) if words else {}
 
 
 def capelli_H(k: int, n: int) -> CentralElement:

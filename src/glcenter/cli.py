@@ -348,7 +348,6 @@ def cmd_verify(args) -> int:
     if args.max_size < 1 or args.max_n < 1:
         raise UsageError("--max-size and --max-n must be at least 1")
     names = [args.suite] if args.suite else list(_SUITES)
-    pieces = {}  # the letter-set pieces of S, once per (lam, m) for every n
 
     @cache
     def build(kind, param, n):
@@ -357,7 +356,7 @@ def cmd_verify(args) -> int:
         # `hc-s*` hold by construction. Each constructor is looked up at call
         # time, so a rebinding of it sees every real build
         if kind == "S":
-            return central.schur_element(param, n, pieces)
+            return central.schur_element(param, n)
         return (central.capelli_H if kind == "H" else central.nazarov_umeda_I)(param, n)
 
     def elem(kind, param, n):

@@ -12,6 +12,7 @@ from glcenter.central import (
     _multinomial,
     _right_block,
     _row_orbits,
+    _row_piece,
     _schur_piece,
     _sorted_odd,
     _symmetrized_words,
@@ -431,29 +432,34 @@ def test_row_orbit_fixtures():
 
 
 def test_shared_pieces_match_fresh_builds():
-    # one dict serves every n and every shape; a piece exists for each m
+    # one memo serves every n and every shape; it holds a piece for each m
     # with l(lam) <= m <= min(|lam|, n) and for no other m
-    pieces = {}
-    shapes = [(2, 1), (1, 1), (3,), (2, 2)]
-    for n in range(1, 6):
-        for lam in shapes:
-            if len(lam) <= n:
-                assert schur_element(lam, n, pieces).body == schur_element(lam, n).body, (lam, n)
-    assert sorted(pieces) == sorted((lam, m) for lam in shapes for m in range(len(lam), size(lam) + 1))
+    shapes = partitions_upto(4, include_empty=False)
+    cases = [(lam, n) for n in range(1, 6) for lam in shapes if len(lam) <= n]
+    fresh = {}
+    for lam, n in cases:
+        _schur_piece.cache_clear()
+        fresh[lam, n] = schur_element(lam, n).body
+    _schur_piece.cache_clear()
+    for lam, n in cases:
+        assert schur_element(lam, n).body == fresh[lam, n], (lam, n)
+    assert _schur_piece.cache_info().currsize == sum(size(lam) - len(lam) + 1 for lam in shapes) == 23
 
 
 def test_schur_element_hands_out_no_piece():
-    # a caller that changes a returned body changes no piece and no later call
-    pieces = {}
+    # a caller that changes a returned body changes no memo entry and no
+    # later call
+    lam_t = conjugate((2, 1))
     fresh = {n: schur_element((2, 1), n).body for n in (2, 3, 4)}
     for n in (2, 3, 4, 3, 2):
-        before = {key: dict(piece) for key, piece in pieces.items()}
-        body = schur_element((2, 1), n, pieces).body
+        before = {m: dict(_schur_piece(lam_t, m)) for m in (2, 3)}
+        body = schur_element((2, 1), n).body
         assert body == fresh[n]
         body[((1, 1),)] = 5
         body.pop(next(w for w in body if w != ((1, 1),)))
-        assert {key: pieces[key] for key in before} == before
-    assert schur_element((2, 1), 3, pieces).body == fresh[3]
+        assert {m: _schur_piece(lam_t, m) for m in (2, 3)} == before
+    assert schur_element((2, 1), 3).body == fresh[3]
+    assert _schur_piece.cache_info().misses == 2
 
 
 # H_k(n) and I_k(n) devirtualized over every tuple at once, with no
@@ -476,6 +482,24 @@ def test_one_row_pieces_match_direct_sum():
                 lambda idx: Fraction(_multinomial(idx), factorial(len(idx))),
             )
             assert nazarov_umeda_I(k, n).body == direct, (k, n)
+
+
+def test_nazarov_umeda_builds_no_piece_above_n():
+    # a piece with m > n has no m-subset of {1..n} to land on
+    nazarov_umeda_I(6, 2)
+    assert _row_piece.cache_info().misses == 2
+
+
+def test_center_maps_build_each_row_piece_once():
+    # embed substitutes H_k(n + 1) and duality_W substitutes I_k(n); a
+    # repeated call finds every piece of them in the memo
+    x = schur_element((2, 1), 3)
+    first = (embed(x).body, duality_W(x).body)
+    misses = _row_piece.cache_info().misses
+    assert misses > 0
+    for _ in range(2):
+        assert (embed(x).body, duality_W(x).body) == first
+    assert _row_piece.cache_info().misses == misses
 
 
 def test_one_row_hands_out_no_piece():

@@ -283,9 +283,9 @@ def test_verify_builds_each_schur_element_once(capsys, monkeypatch):
     builds = Counter()
     first_body = {}
 
-    def counted(lam, n, *rest):
+    def counted(lam, n):
         builds[lam, n] += 1
-        return real(lam, n, *rest)
+        return real(lam, n)
 
     def check_then_spoil(apply):
         def wrapped(x):
@@ -328,6 +328,15 @@ def test_verify_builds_each_H_and_I_once(capsys, monkeypatch):
     assert rc == 0, out
     pairs = {(k, n) for n in range(1, 5) for k in range(1, n + 1)}
     assert builds == Counter({(kind, k, n): 1 for kind in "HI" for k, n in pairs})
+
+
+def test_verify_suites_share_the_pieces_of_one_process(capsys):
+    # one invocation per suite, as a session that runs them one by one: the
+    # process builds each of the 23 (lam, m) with |lam| <= 4 once
+    for suite in cli._SUITES:
+        rc, out, _ = run(capsys, "verify", "--suite", suite, "--max-n", "4", "--max-size", "4")
+        assert rc == 0, out
+    assert central._schur_piece.cache_info().misses == 23
 
 
 def test_element_verbs_build_schur_elements_as_the_hc_preimage(capsys, monkeypatch):
